@@ -21,8 +21,9 @@
 // Storage is always 64-byte aligned (cache-line isolation is part of the
 // contract: PackedNode and the telemetry scratch rely on it).  Only
 // trivially-destructible element types are supported — buffers are
-// recycled by re-running placement default-initialization, never by
-// running destructors.
+// recycled without running destructors, either by re-running placement
+// default-initialization (make) or by handing the bytes back as they are
+// (uninit) to a caller that writes every slot before reading it.
 #pragma once
 
 #include <cstddef>
@@ -98,10 +99,24 @@ class RunArena {
     return p;
   }
 
+  // An array of `count` T left uninitialised: recycled storage still holds
+  // the previous run's bytes.  For callers that construct every element
+  // themselves (TreeState's records) or write every slot before anything
+  // reads it (the partition sweeps, whose Wat gates order each write before
+  // the first read) — their first-touch page faults then land wherever that
+  // first write runs instead of on the submitting thread.
+  template <typename T>
+  T* uninit(std::size_t count) {
+    static_assert(std::is_trivially_destructible_v<T>,
+                  "arena storage is recycled without running destructors");
+    static_assert(alignof(T) <= kAlign, "raise RunArena::kAlign");
+    return static_cast<T*>(raw(count * sizeof(T)));
+  }
+
   // A single constructed object.  The caller is responsible for calling the
   // destructor before the next begin_run() if ~T matters (Engine does this
-  // for LcShared / PartitionShared, whose members release thread handles —
-  // their bulk arrays live in this same arena and need no teardown).
+  // for every per-variant structure it places here — their bulk arrays live
+  // in this same arena and need no teardown).
   template <typename T, typename... Args>
   T* create(Args&&... args) {
     static_assert(alignof(T) <= kAlign, "raise RunArena::kAlign");

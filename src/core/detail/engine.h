@@ -8,6 +8,10 @@
 // only idempotent or write-once state behind and never endanger the rest.
 //
 // Hot-path structure (docs/native_engine.md):
+//   * shared state is per variant: a run builds only the structures its
+//     variant reads — the pivot tree (TreeState) and its phase-1 Wat for
+//     det-tree and lc, PartitionShared (which also holds the output) for
+//     det-partition;
 //   * the pivot tree lives in packed per-node records (TreeState), one
 //     cache line per visit instead of four parallel arrays;
 //   * phase-1 work is claimed in batches of Options::wat_batch adjacent
@@ -19,10 +23,10 @@
 //     flushed into the shared atomics once per phase;
 //   * workers that finish all phases help copy the assembled output back
 //     into the caller's buffer in parallel chunks — safe because keys were
-//     copied into the node records up front, so nobody reads the caller's
-//     buffer after construction.  finalize() only sweeps chunks no worker
-//     got to (it must still be called after the workers are joined and at
-//     least one completed).
+//     copied into the node records (or the partition's key array) up front,
+//     so nobody reads the caller's buffer after construction.  finalize()
+//     only sweeps chunks no worker got to (it must still be called after
+//     the workers are joined and at least one completed).
 #pragma once
 
 #include <atomic>
@@ -124,7 +128,7 @@ class Engine {
   // its input must stay untouched.
   //
   // `arena` (optional) is where every shared structure of the run — node
-  // records, output slots, WAT done-bits, partition scratch, LC fat-tree
+  // records, output slots, WAT done-bits, partition arrays, LC fat-tree
   // planes — takes its storage from.  Null means the engine wraps its own
   // private arena (the cold one-shot path: allocate, sort, free).  SortPool
   // passes its recycled per-variant arena instead, which is what makes
@@ -139,24 +143,32 @@ class Engine {
          bool assemble_into_data = true, RunArena* arena = nullptr,
          telemetry::Recorder* recorder = nullptr)
       : data_(data),
+        cmp_(cmp),
         opts_(opts),
         nominal_threads_(opts.resolved_threads()),
         wat_batch_(std::max<std::uint64_t>(1, opts.wat_batch)),
         seq_cutoff_(opts.seq_cutoff),
         copy_back_(assemble_into_data),
-        arena_(arena != nullptr ? arena : &own_arena_),
-        st_(std::span<const Key>(data.data(), data.size()), cmp, *arena_),
-        wat_(batch_jobs(data.size() < 2 ? 1 : data.size(), wat_batch_),
-             *arena_) {
+        arena_(arena != nullptr ? arena : &own_arena_) {
     effective_variant_ = opts.variant;
     if (effective_variant_ == Variant::kLowContention && data.size() < kLcMinN) {
       effective_variant_ = Variant::kDeterministic;
     }
-    if (effective_variant_ == Variant::kLowContention) init_lc();
-    if (effective_variant_ == Variant::kDeterministic &&
-        opts.phase1 == Phase1::kPartition && data_.size() > 1) {
-      part_ = arena_->create<PartitionShared<Key>>(
-          std::span<const Key>(data_.data(), data_.size()), *arena_);
+    // Per-variant shared state: each run builds only what its variant reads
+    // (nothing at all for N <= 1, which run_worker finishes on entry).
+    if (data_.size() > 1) {
+      const std::span<const Key> keys(data_.data(), data_.size());
+      if (effective_variant_ == Variant::kDeterministic &&
+          opts.phase1 == Phase1::kPartition) {
+        part_ = arena_->create<PartitionShared<Key>>(keys, copy_back_, *arena_);
+      } else {
+        st_ = arena_->create<TreeState<Key, Compare>>(keys, cmp, *arena_);
+        if (effective_variant_ == Variant::kLowContention) {
+          init_lc();
+        } else {
+          wat_ = arena_->create<Wat>(batch_jobs(data_.size(), wat_batch_), *arena_);
+        }
+      }
     }
     if (opts.telemetry != telemetry::Level::kOff && data_.size() > 1) {
       if (recorder != nullptr) {
@@ -184,6 +196,8 @@ class Engine {
   ~Engine() {
     if (lc_ != nullptr) lc_->~LcShared();
     if (part_ != nullptr) part_->~PartitionShared();
+    if (wat_ != nullptr) wat_->~Wat();
+    if (st_ != nullptr) st_->~TreeState();
   }
 
   Engine(const Engine&) = delete;
@@ -240,7 +254,7 @@ class Engine {
   void finalize() {
     if (data_.size() <= 1) return;
     WFSORT_CHECK(result_ready());
-    WFSORT_DCHECK(st_.all_placed());
+    WFSORT_DCHECK(output().complete());
     for (std::uint64_t c = 0; c < copy_chunks_; ++c) {
       if (copy_done_[c].load(std::memory_order_acquire) == 0) copy_chunk(c);
     }
@@ -277,15 +291,56 @@ class Engine {
     s.cas_successes = install_cas_.load(std::memory_order_relaxed);
     s.fat_read_misses = fat_misses_.load(std::memory_order_relaxed);
     s.telemetry = report_;
-    s.tree_depth = measured_depth();
+    s.tree_depth = measured_depth();  // 0 for det-partition: no tree
     s.phase1_ms = static_cast<double>(phase1_us_.load(std::memory_order_relaxed)) / 1000.0;
     s.phase2_ms = static_cast<double>(phase2_us_.load(std::memory_order_relaxed)) / 1000.0;
     s.phase3_ms = static_cast<double>(phase3_us_.load(std::memory_order_relaxed)) / 1000.0;
     return s;
   }
 
-  TreeState<Key, Compare>& state() { return st_; }
-  const TreeState<Key, Compare>& state() const { return st_; }
+  // Read side of a finished run's rank-indexed result, whichever variant
+  // assembled it.  Copy-back, finalize()'s debug check and sort_permutation
+  // all read the output through it.  Valid once result_ready(); stragglers
+  // may still be storing (identical values) into it.
+  class Output {
+   public:
+    Output(const TreeState<Key, Compare>* tree, const PartitionShared<Key>* part)
+        : tree_(tree), part_(part) {}
+
+    // The key of rank `r` (0-based).  Copy-back runs only.
+    Key key(std::size_t r) const {
+      return part_ != nullptr ? load_relaxed(part_->out[r])
+                              : tree_->out[r].load(std::memory_order_relaxed);
+    }
+
+    // perm[r] = input index of the element of rank r.  The partition path
+    // stored exactly that; the tree path inverts the records' places.
+    void permutation(std::span<std::uint32_t> perm) const {
+      if (part_ != nullptr) {
+        for (std::size_t r = 0; r < perm.size(); ++r) {
+          perm[r] = load_relaxed(part_->out_idx[r]);
+        }
+        return;
+      }
+      for (std::size_t i = 0; i < perm.size(); ++i) {
+        const std::int64_t place = tree_->place_of(static_cast<std::int64_t>(i));
+        perm[static_cast<std::size_t>(place - 1)] = static_cast<std::uint32_t>(i);
+      }
+    }
+
+    // Debug completeness check: every rank was emitted.  The partition
+    // output has no "unset" value (its slots start uninitialised); every
+    // bucket job marked done is what says each rank slot was stored.
+    bool complete() const {
+      return part_ == nullptr ? tree_->all_placed() : part_->bucket_wat.all_done();
+    }
+
+   private:
+    const TreeState<Key, Compare>* tree_;
+    const PartitionShared<Key>* part_;
+  };
+
+  Output output() const { return Output(st_, part_); }
 
  private:
   static std::uint64_t batch_jobs(std::uint64_t n, std::uint64_t batch) {
@@ -353,7 +408,7 @@ class Engine {
     for (std::uint32_t g = 0; g < groups; ++g) {
       auto keys = std::span<const Key>(data_.data() + g * slice, slice);
       ::new (static_cast<void*>(lc_->group_states + g))
-          TreeState<Key, Compare>(keys, st_.cmp, arena);
+          TreeState<Key, Compare>(keys, cmp_, arena);
       ::new (static_cast<void*>(lc_->group_wats + g))
           Wat(batch_jobs(slice, wat_batch_), arena);
       ++lc_->constructed;
@@ -397,9 +452,8 @@ class Engine {
   void copy_chunk(std::uint64_t c) {
     const std::size_t lo = static_cast<std::size_t>(c * kCopyChunk);
     const std::size_t hi = std::min(data_.size(), lo + kCopyChunk);
-    for (std::size_t i = lo; i < hi; ++i) {
-      data_[i] = st_.out[i].load(std::memory_order_relaxed);
-    }
+    const Output out = output();
+    for (std::size_t i = lo; i < hi; ++i) data_[i] = out.key(i);
   }
 
   // --- deterministic variant (Section 2) ---
@@ -411,7 +465,9 @@ class Engine {
     const auto chk = [plan, tid] { return plan == nullptr || plan->checkpoint(tid); };
     [[maybe_unused]] bool tel_detail = false;
     if constexpr (kTel) tel_detail = tel->detail;
-    const std::int64_t n = st_.n();
+    TreeState<Key, Compare>& st = *st_;
+    Wat& wat = *wat_;
+    const std::int64_t n = st.n();
 
     PhaseClock clock;
     clock.start();
@@ -419,34 +475,34 @@ class Engine {
     // Phase 1: WAT-allocated tree building, one batch of adjacent jobs per
     // claimed leaf.
     BuildTally tally;
-    std::int64_t node = wat_.initial_leaf(tid, nominal_threads_);
+    std::int64_t node = wat.initial_leaf(tid, nominal_threads_);
     [[maybe_unused]] std::uint64_t wat_probes = 1;  // WAT nodes since last claim
     while (true) {
       if (!chk()) {
         flush_build(tally);
         return false;
       }
-      if (wat_.is_job_leaf(node)) {
+      if (wat.is_job_leaf(node)) {
         if constexpr (kTel) {
           if (tel_detail) {
             tel->count(telemetry::Counter::kWatClaims);
             tel->count(telemetry::Counter::kWatProbes, wat_probes);
             tel->rep.wat_probes.add(wat_probes);
             tel->emit(telemetry::FlightKind::kWatClaim, 0,
-                      static_cast<std::uint32_t>(wat_probes), wat_.job_of(node));
+                      static_cast<std::uint32_t>(wat_probes), wat.job_of(node));
             wat_probes = 0;
           }
         }
         const std::int64_t lo =
-            static_cast<std::int64_t>(wat_.job_of(node) * wat_batch_);
+            static_cast<std::int64_t>(wat.job_of(node) * wat_batch_);
         const std::int64_t hi =
             std::min<std::int64_t>(n, lo + static_cast<std::int64_t>(wat_batch_));
-        if (!build_batch(st_, lo, hi, tally, chk, tel)) {
+        if (!build_batch(st, lo, hi, tally, chk, tel)) {
           flush_build(tally);
           return false;
         }
       }
-      node = wat_.next_element(node);
+      node = wat.next_element(node);
       if constexpr (kTel) {
         if (tel_detail) ++wat_probes;
       }
@@ -456,10 +512,10 @@ class Engine {
     clock.lap(phase1_us_);
     // Phases 2 and 3.
     if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kSum);
-    if (!tree_sum(st_, tid, chk)) return false;
+    if (!tree_sum(st, tid, chk)) return false;
     clock.lap(phase2_us_);
     if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kPlace);
-    if (!find_place_emit(st_, tid, opts_.prune, seq_cutoff_, chk, tel)) return false;
+    if (!find_place_emit(st, tid, opts_.prune, seq_cutoff_, chk, tel)) return false;
     clock.lap(phase3_us_);
     return true;
   }
@@ -529,9 +585,9 @@ class Engine {
     PhaseClock clock;
     clock.start();
     if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kPartClassify);
-    bool ok = partition_prepare(st_, ps, local, chk) &&
+    bool ok = partition_prepare(cmp_, ps, local, chk) &&
               drive(ps.classify_wat, [&](std::int64_t c) {
-                return partition_classify(st_, ps, local, c, chk);
+                return partition_classify(cmp_, ps, local, c, chk);
               });
     if (!ok) {
       flush();
@@ -542,7 +598,7 @@ class Engine {
     if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kPartScatter);
     ok = partition_offsets(ps, local, chk) &&
          drive(ps.scatter_wat, [&](std::int64_t c) {
-           return partition_scatter(st_, ps, local, c, chk);
+           return partition_scatter(ps, local, c, chk);
          });
     if (!ok) {
       flush();
@@ -552,7 +608,7 @@ class Engine {
 
     if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kPartSort);
     ok = drive(ps.bucket_wat, [&](std::int64_t b) {
-      return partition_bucket(st_, ps, local, b, chk);
+      return partition_bucket(cmp_, ps, local, b, chk);
     });
     flush();
     if (!ok) return false;
@@ -670,8 +726,9 @@ class Engine {
     if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kLcFatten);
     Rng rng_fatten = worker_stage_rng(opts_.seed, tid, LcRngStage::kFatten);
     lc.fat.write_random_cells(sorted_idx, lc.fat.fill_quota(nominal_threads_), rng_fatten);
+    TreeState<Key, Compare>& st = *st_;
     const std::int64_t root = sorted_idx[lc.fat.rank_of(0)];
-    st_.set_root(root);
+    st.set_root(root);
     for (std::uint64_t f = 0; f < lc.fat.node_count(); ++f) {
       if (!chk()) {
         flush_build(tally);
@@ -681,8 +738,8 @@ class Engine {
       if (!lc.fat.is_leaf(f)) {
         const std::int64_t se = sorted_idx[lc.fat.rank_of(lc.fat.left(f))];
         const std::int64_t be = sorted_idx[lc.fat.rank_of(lc.fat.right(f))];
-        st_.child_slot(pe, kSmall).store(se, std::memory_order_release);
-        st_.child_slot(pe, kBig).store(be, std::memory_order_release);
+        st.child_slot(pe, kSmall).store(se, std::memory_order_release);
+        st.child_slot(pe, kBig).store(be, std::memory_order_release);
       }
     }
 
@@ -707,7 +764,7 @@ class Engine {
     const std::int64_t wbase = static_cast<std::int64_t>(w) *
                                static_cast<std::int64_t>(lc.slice_len);
     const std::int64_t wend = wbase + static_cast<std::int64_t>(lc.slice_len);
-    const std::int64_t n = st_.n();
+    const std::int64_t n = st.n();
     std::uint64_t fat_reads = 0;
     // thread_local: pooled workers keep the stripe buffer's capacity warm
     // across runs (run_worker is never reentrant on one thread).
@@ -749,7 +806,7 @@ class Engine {
         std::int64_t parents[kBuildLanes];
         fat_handoffs(run.data() + pos, cnt, sorted_idx, rng_insert, fat_misses,
                      fat_reads, parents);
-        build_lanes(st_, run.data() + pos, parents, cnt, opts_.backoff_limit,
+        build_lanes(st, run.data() + pos, parents, cnt, opts_.backoff_limit,
                     tally, no_abort, tel);
       }
     };
@@ -792,13 +849,13 @@ class Engine {
     if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kSum);
     Rng rng_sum = worker_stage_rng(opts_.seed, tid, LcRngStage::kSum);
     const bool sum_ok =
-        lc_tree_sum(st_, lc.sum_marks, rng_sum, opts_.lc_burst, probe_tally, chk);
+        lc_tree_sum(st, lc.sum_marks, rng_sum, opts_.lc_burst, probe_tally, chk);
     flush_probes();
     if (!sum_ok) return false;
     clock.lap(phase2_us_);
     if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kPlace);
     Rng rng_place = worker_stage_rng(opts_.seed, tid, LcRngStage::kPlace);
-    const bool place_ok = lc_find_place_emit(st_, lc.place_marks, rng_place,
+    const bool place_ok = lc_find_place_emit(st, lc.place_marks, rng_place,
                                              opts_.lc_burst, probe_tally, chk);
     flush_probes();
     if (!place_ok) return false;
@@ -839,7 +896,7 @@ class Engine {
           --remaining;
           continue;
         }
-        node[k] = st_.less(elems[k], e) ? lc.fat.left(node[k]) : lc.fat.right(node[k]);
+        node[k] = st_->less(elems[k], e) ? lc.fat.left(node[k]) : lc.fat.right(node[k]);
         lc.fat.prefetch(node[k], copy[k]);
       }
     }
@@ -848,15 +905,17 @@ class Engine {
   // Pivot-tree depth is a diagnostic, not a by-product of the sort: it is
   // measured lazily, the first time stats() wants it, so plain (statsless)
   // runs skip the full-tree walk entirely.  Same calling contract as
-  // stats(): workers joined, at least one completed.
+  // stats(): workers joined, at least one completed.  Runs without a tree
+  // (det-partition, N <= 1) report 0.
   std::uint32_t measured_depth() const {
-    if (measured_depth_ == 0 && data_.size() > 1 && result_ready()) {
-      measured_depth_ = st_.measure_depth();
+    if (measured_depth_ == 0 && st_ != nullptr && result_ready()) {
+      measured_depth_ = st_->measure_depth();
     }
     return measured_depth_;
   }
 
   std::span<Key> data_;
+  Compare cmp_;
   Options opts_;
   Variant effective_variant_;
   std::uint32_t nominal_threads_;
@@ -868,10 +927,12 @@ class Engine {
   // on the cold path and at SortPool's recycled arena on the pooled path.
   RunArena own_arena_;
   RunArena* arena_;
-  TreeState<Key, Compare> st_;
-  Wat wat_;
-  LcShared* lc_ = nullptr;                // arena-placed; dtor runs in ~Engine
-  PartitionShared<Key>* part_ = nullptr;  // Phase1::kPartition only; ditto
+  // Per-variant shared state, arena-placed (destructors run in ~Engine);
+  // null when the run's variant does not read it.
+  TreeState<Key, Compare>* st_ = nullptr;  // det-tree and lc
+  Wat* wat_ = nullptr;                     // det-tree phase 1
+  LcShared* lc_ = nullptr;                 // lc
+  PartitionShared<Key>* part_ = nullptr;   // det-partition; holds the output
 
   std::uint64_t copy_chunks_ = 0;
   std::atomic<std::uint64_t> copy_next_{0};

@@ -26,10 +26,12 @@
 //              identical values to identical slots.
 //   buckets    jobs = buckets.  The worker copies one bucket's scattered
 //              pairs into PRIVATE scratch, sorts them with leaf_sort, and
-//              emits consecutive ranks from the bucket's base.  (The copy is
+//              writes consecutive rank slots of the run's output from the
+//              bucket's base: the key of each rank on a copy-back run, its
+//              input index on a sort_permutation run.  (The copy is
 //              load-bearing: two workers may sort the same bucket
 //              concurrently, and an in-place sort of shared memory would
-//              interleave swaps — each sorts its own copy; emits are
+//              interleave swaps — each sorts its own copy; output stores are
 //              idempotent.)
 //
 // Sweep ordering without barriers: a worker starts sweep k+1 only after ITS
@@ -37,6 +39,16 @@
 // of every job on the way — the Wat's release-mark/acquire-read discipline
 // makes all sweep-k writes visible (transitive happens-before), and a slow
 // worker is never waited for because fast workers redo its unmarked jobs.
+// The same gate, on the bucket sweep, orders every output store before a
+// finished worker's copy-back reads it.
+//
+// That gate is also why every shared array the sweeps write (hist,
+// bucket_id, skey, sidx and the output) is taken from the arena
+// UNINITIALISED and accessed through std::atomic_ref: each slot is written
+// by the sweep that owns it before any sweep reads it, so a pooled run's
+// leftover bytes are never observed, and the arrays' first-touch page
+// faults happen inside the parallel sweeps instead of on the submitting
+// thread.  Only the key copy is filled before the workers start.
 //
 // Splitters are deterministic and computed locally by every worker: a fixed
 // stride sample of kOversample*B elements, leaf-sorted by (key, index), with
@@ -52,6 +64,7 @@
 // own-step bound, which test_waitfree_cert checks on this variant too.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <span>
@@ -60,14 +73,28 @@
 #include "common/arena.h"
 #include "common/check.h"
 #include "core/detail/leaf_sort.h"
-#include "core/detail/tree_state.h"
 #include "workalloc/wat.h"
 
 namespace wfsort::detail {
 
-// Shared, write-idempotent state of one partition-phase run.
+// Relaxed atomic access to a slot of the plain shared arrays below.
+template <typename T>
+inline void store_relaxed(T& slot, T v) {
+  std::atomic_ref<T>(slot).store(v, std::memory_order_relaxed);
+}
+template <typename T>
+inline T load_relaxed(const T& slot) {
+  return std::atomic_ref<T>(const_cast<T&>(slot)).load(std::memory_order_relaxed);
+}
+
+// Shared, write-idempotent state of one partition-phase run, including the
+// run's output.
 template <typename Key>
 struct PartitionShared {
+  // Arena arrays start 64-byte aligned and hold whole Keys, so every slot
+  // meets std::atomic_ref's alignment when the stride does.
+  static_assert(sizeof(Key) % std::atomic_ref<Key>::required_alignment == 0);
+
   static constexpr std::int64_t kChunk = 2048;      // elements per classify/scatter job
   static constexpr std::int64_t kMaxBuckets = 1024;
   static constexpr std::int64_t kOversample = 8;    // sample items per bucket
@@ -77,70 +104,58 @@ struct PartitionShared {
   std::int64_t buckets = 0;
   std::int64_t sample_size = 0;  // kOversample * buckets, capped at n
 
-  // Flat, immutable key copy made before the workers start.  The classify
-  // and scatter sweeps stream every key once each; reading them out of the
-  // 64-byte packed node records would move 8x the necessary bytes (and the
-  // caller's buffer is off-limits once finished workers start copying the
-  // output back over it), so the partition phase keeps its own dense copy —
-  // sizeof(Key) per element, sequential.
-  ArenaArray<Key> keys;
+  // Flat, immutable key copy, filled by the constructor on the submitting
+  // thread.  It stays serial on purpose: finished workers copy the output
+  // back over the caller's buffer while stragglers may still be
+  // classifying, so no sweep may ever read the caller's buffer — a
+  // straggler would read overwritten input and, through skey, could store
+  // a wrong key into an output chunk nobody has copied yet.
+  Key* keys;
   // chunks x buckets per-chunk bucket counts (row-major).  Written with
   // relaxed stores of identical values; completeness and visibility are
   // gated by classify_wat's done flags, never by the values themselves.
-  ArenaArray<std::atomic<std::uint32_t>> hist;
+  std::uint32_t* hist;
   // Per-element bucket id, filled by classify and read back by scatter so
   // the splitter binary search runs once per element, not twice.  Same
   // idempotent-store / ALLDONE-gated discipline as `hist`; uint16 because
   // kMaxBuckets is 1024.
-  ArenaArray<std::atomic<std::uint16_t>> bucket_id;
+  std::uint16_t* bucket_id;
   // Scattered (key, index) pairs, one deterministic slot per element.  The
   // index fits uint32 by the ctor CHECK below.
-  ArenaArray<std::atomic<Key>> skey;
-  ArenaArray<std::atomic<std::uint32_t>> sidx;
+  Key* skey;
+  std::uint32_t* sidx;
+  // The run's rank-indexed output, written by the bucket sweep; exactly one
+  // is allocated.  `out[r]` is the key of rank r (copy-back runs);
+  // `out_idx[r]` the input index of rank r (sort_permutation runs).
+  Key* out = nullptr;
+  std::uint32_t* out_idx = nullptr;
 
   Wat classify_wat;
   Wat scatter_wat;
   Wat bucket_wat;
 
-  explicit PartitionShared(std::span<const Key> input)
+  // All shared arrays and Wat done-bits borrow RunArena storage.
+  // `keys_out` picks the output form: keys (copy-back) or indices.
+  PartitionShared(std::span<const Key> input, bool keys_out, RunArena& arena)
       : n(static_cast<std::int64_t>(input.size())),
         chunks((n + kChunk - 1) / kChunk),
         buckets(std::min(std::max<std::int64_t>(n / kChunk, 1), kMaxBuckets)),
         sample_size(std::min(kOversample * buckets, n)),
-        keys(input.size()),
-        hist(static_cast<std::size_t>(chunks * buckets)),
-        bucket_id(static_cast<std::size_t>(n)),
-        skey(static_cast<std::size_t>(n)),
-        sidx(static_cast<std::size_t>(n)),
-        classify_wat(static_cast<std::uint64_t>(chunks)),
-        scatter_wat(static_cast<std::uint64_t>(chunks)),
-        bucket_wat(static_cast<std::uint64_t>(buckets)) {
-    init(input);
-  }
-
-  // Pooled form: all shared arrays and Wat done-bits borrow RunArena storage.
-  PartitionShared(std::span<const Key> input, RunArena& arena)
-      : n(static_cast<std::int64_t>(input.size())),
-        chunks((n + kChunk - 1) / kChunk),
-        buckets(std::min(std::max<std::int64_t>(n / kChunk, 1), kMaxBuckets)),
-        sample_size(std::min(kOversample * buckets, n)),
-        keys(input.size(), arena),
-        hist(static_cast<std::size_t>(chunks * buckets), arena),
-        bucket_id(static_cast<std::size_t>(n), arena),
-        skey(static_cast<std::size_t>(n), arena),
-        sidx(static_cast<std::size_t>(n), arena),
+        keys(arena.uninit<Key>(input.size())),
+        hist(arena.uninit<std::uint32_t>(static_cast<std::size_t>(chunks * buckets))),
+        bucket_id(arena.uninit<std::uint16_t>(input.size())),
+        skey(arena.uninit<Key>(input.size())),
+        sidx(arena.uninit<std::uint32_t>(input.size())),
+        out(keys_out ? arena.uninit<Key>(input.size()) : nullptr),
+        out_idx(keys_out ? nullptr : arena.uninit<std::uint32_t>(input.size())),
         classify_wat(static_cast<std::uint64_t>(chunks), arena),
         scatter_wat(static_cast<std::uint64_t>(chunks), arena),
         bucket_wat(static_cast<std::uint64_t>(buckets), arena) {
-    init(input);
-  }
-
-  void init(std::span<const Key> input) {
     WFSORT_CHECK(n > 0);
     // Scatter-offset bookkeeping and sidx are uint32; 2^32 elements is
     // 32 GiB of keys.
     WFSORT_CHECK(n <= static_cast<std::int64_t>(UINT32_MAX));
-    for (std::size_t i = 0; i < input.size(); ++i) keys[i] = input[i];
+    std::copy(input.begin(), input.end(), keys);
   }
 
   const Key& key(std::int64_t i) const {
@@ -197,9 +212,8 @@ inline std::int64_t partition_bucket_of(const PartitionLocal<Key>& local,
 // stride sample, leaf-sort it, keep every kOversample-th item as a
 // boundary.  Polls `keep_going` once per sampled element.
 template <typename Key, typename Compare, typename Check>
-bool partition_prepare(const TreeState<Key, Compare>& st,
-                       const PartitionShared<Key>& ps, PartitionLocal<Key>& local,
-                       Check&& keep_going) {
+bool partition_prepare(const Compare& cmp, const PartitionShared<Key>& ps,
+                       PartitionLocal<Key>& local, Check&& keep_going) {
   local.counts.assign(static_cast<std::size_t>(ps.buckets), 0);
   local.cursor.assign(static_cast<std::size_t>(ps.buckets), 0);
   local.splitters.clear();
@@ -214,7 +228,7 @@ bool partition_prepare(const TreeState<Key, Compare>& st,
     local.items.push_back({ps.key(i), i});
   }
   leaf_sort(local.items.data(), local.items.data() + local.items.size(),
-            LeafItemLess<Key, Compare>{st.cmp}, &local.tally);
+            LeafItemLess<Key, Compare>{cmp}, &local.tally);
   local.splitters.reserve(static_cast<std::size_t>(ps.buckets - 1));
   for (std::int64_t b = 1; b < ps.buckets; ++b) {
     // Boundary b sits at the end of the b-th sample stripe; clamp for the
@@ -229,10 +243,10 @@ bool partition_prepare(const TreeState<Key, Compare>& st,
 // Classify sweep, one chunk: histogram the chunk against the splitters and
 // store the counts.  Idempotent (identical values from every worker).
 template <typename Key, typename Compare, typename Check>
-bool partition_classify(const TreeState<Key, Compare>& st,
-                        PartitionShared<Key>& ps, PartitionLocal<Key>& local,
-                        std::int64_t chunk, Check&& keep_going) {
-  const LeafItemLess<Key, Compare> less{st.cmp};
+bool partition_classify(const Compare& cmp, PartitionShared<Key>& ps,
+                        PartitionLocal<Key>& local, std::int64_t chunk,
+                        Check&& keep_going) {
+  const LeafItemLess<Key, Compare> less{cmp};
   const std::int64_t lo = chunk * PartitionShared<Key>::kChunk;
   const std::int64_t hi = std::min(ps.n, lo + PartitionShared<Key>::kChunk);
   std::uint32_t* counts = local.counts.data();
@@ -242,14 +256,11 @@ bool partition_classify(const TreeState<Key, Compare>& st,
     const LeafItem<Key> it{ps.key(i), i};
     const std::int64_t b = partition_bucket_of(local, less, it);
     ++counts[b];
-    ps.bucket_id[static_cast<std::size_t>(i)].store(
-        static_cast<std::uint16_t>(b), std::memory_order_relaxed);
+    store_relaxed(ps.bucket_id[static_cast<std::size_t>(i)],
+                  static_cast<std::uint16_t>(b));
   }
-  std::atomic<std::uint32_t>* row =
-      ps.hist.data() + static_cast<std::size_t>(chunk * ps.buckets);
-  for (std::int64_t b = 0; b < ps.buckets; ++b) {
-    row[b].store(counts[b], std::memory_order_relaxed);
-  }
+  std::uint32_t* row = ps.hist + static_cast<std::size_t>(chunk * ps.buckets);
+  for (std::int64_t b = 0; b < ps.buckets; ++b) store_relaxed(row[b], counts[b]);
   return true;
 }
 
@@ -267,11 +278,8 @@ bool partition_offsets(const PartitionShared<Key>& ps, PartitionLocal<Key>& loca
   // Bucket totals, then exclusive prefix -> bucket bases.
   for (std::int64_t c = 0; c < ps.chunks; ++c) {
     if (!keep_going()) return false;
-    const std::atomic<std::uint32_t>* row =
-        ps.hist.data() + static_cast<std::size_t>(c * ps.buckets);
-    for (std::size_t b = 0; b < nb; ++b) {
-      base[b + 1] += row[b].load(std::memory_order_relaxed);
-    }
+    const std::uint32_t* row = ps.hist + static_cast<std::size_t>(c * ps.buckets);
+    for (std::size_t b = 0; b < nb; ++b) base[b + 1] += load_relaxed(row[b]);
   }
   for (std::size_t b = 0; b < nb; ++b) base[b + 1] += base[b];
   WFSORT_DCHECK(base[nb] == ps.n);
@@ -285,12 +293,11 @@ bool partition_offsets(const PartitionShared<Key>& ps, PartitionLocal<Key>& loca
   }
   for (std::int64_t c = 0; c < ps.chunks; ++c) {
     if (!keep_going()) return false;
-    const std::atomic<std::uint32_t>* row =
-        ps.hist.data() + static_cast<std::size_t>(c * ps.buckets);
+    const std::uint32_t* row = ps.hist + static_cast<std::size_t>(c * ps.buckets);
     std::uint32_t* out = local.offsets.data() + static_cast<std::size_t>(c * ps.buckets);
     for (std::size_t b = 0; b < nb; ++b) {
       out[b] = run[b];
-      run[b] += row[b].load(std::memory_order_relaxed);
+      run[b] += load_relaxed(row[b]);
     }
   }
   local.offsets_ready = true;
@@ -301,9 +308,8 @@ bool partition_offsets(const PartitionShared<Key>& ps, PartitionLocal<Key>& loca
 // its (key, index) into the deterministic slot.  Idempotent — slot and value
 // are functions of the input alone.  The bucket ids were filled by the
 // classify sweep, whose ALLDONE gate precedes this call.
-template <typename Key, typename Compare, typename Check>
-bool partition_scatter(const TreeState<Key, Compare>&,
-                       PartitionShared<Key>& ps, PartitionLocal<Key>& local,
+template <typename Key, typename Check>
+bool partition_scatter(PartitionShared<Key>& ps, PartitionLocal<Key>& local,
                        std::int64_t chunk, Check&& keep_going) {
   const std::int64_t lo = chunk * PartitionShared<Key>::kChunk;
   const std::int64_t hi = std::min(ps.n, lo + PartitionShared<Key>::kChunk);
@@ -313,20 +319,20 @@ bool partition_scatter(const TreeState<Key, Compare>&,
   for (std::int64_t b = 0; b < ps.buckets; ++b) cursor[b] = off[b];
   for (std::int64_t i = lo; i < hi; ++i) {
     if (!keep_going()) return false;
-    const std::int64_t b =
-        ps.bucket_id[static_cast<std::size_t>(i)].load(std::memory_order_relaxed);
+    const std::int64_t b = load_relaxed(ps.bucket_id[static_cast<std::size_t>(i)]);
     const std::size_t slot = cursor[b]++;
-    ps.skey[slot].store(ps.key(i), std::memory_order_relaxed);
-    ps.sidx[slot].store(static_cast<std::uint32_t>(i), std::memory_order_relaxed);
+    store_relaxed(ps.skey[slot], ps.key(i));
+    store_relaxed(ps.sidx[slot], static_cast<std::uint32_t>(i));
   }
   return true;
 }
 
 // Bucket sweep, one bucket: copy the bucket's scattered pairs into private
-// scratch, leaf-sort, emit consecutive ranks.  The private copy is essential
-// — concurrent duplicates of this job must not sort shared memory in place.
+// scratch, leaf-sort, store consecutive ranks into the run's output.  The
+// private copy is essential — concurrent duplicates of this job must not
+// sort shared memory in place.
 template <typename Key, typename Compare, typename Check>
-bool partition_bucket(TreeState<Key, Compare>& st, PartitionShared<Key>& ps,
+bool partition_bucket(const Compare& cmp, PartitionShared<Key>& ps,
                       PartitionLocal<Key>& local, std::int64_t bucket,
                       Check&& keep_going) {
   const std::int64_t lo = local.base[static_cast<std::size_t>(bucket)];
@@ -337,16 +343,20 @@ bool partition_bucket(TreeState<Key, Compare>& st, PartitionShared<Key>& ps,
   for (std::int64_t s = lo; s < hi; ++s) {
     if (!keep_going()) return false;
     local.items.push_back(
-        {ps.skey[static_cast<std::size_t>(s)].load(std::memory_order_relaxed),
-         static_cast<std::int64_t>(
-             ps.sidx[static_cast<std::size_t>(s)].load(std::memory_order_relaxed))});
+        {load_relaxed(ps.skey[static_cast<std::size_t>(s)]),
+         static_cast<std::int64_t>(load_relaxed(ps.sidx[static_cast<std::size_t>(s)]))});
   }
   leaf_sort(local.items.data(), local.items.data() + local.items.size(),
-            LeafItemLess<Key, Compare>{st.cmp}, &local.tally);
-  std::int64_t rank = lo;
+            LeafItemLess<Key, Compare>{cmp}, &local.tally);
+  std::size_t rank = static_cast<std::size_t>(lo);
   for (const LeafItem<Key>& it : local.items) {
     if (!keep_going()) return false;
-    st.emit(it.idx, ++rank);
+    if (ps.out != nullptr) {
+      store_relaxed(ps.out[rank], it.key);
+    } else {
+      store_relaxed(ps.out_idx[rank], static_cast<std::uint32_t>(it.idx));
+    }
+    ++rank;
   }
   return true;
 }

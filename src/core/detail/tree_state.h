@@ -22,6 +22,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -61,31 +62,20 @@ struct TreeState {
   // stores the same value, so the atomic is only for data-race freedom).
   std::atomic<std::int64_t> root{0};
 
-  ArenaArray<PackedNode<Key>> nodes;  // one record per element
-  ArenaArray<std::atomic<Key>> out;   // sorted result (index place-1)
+  PackedNode<Key>* nodes;            // one record per element (arena storage)
+  ArenaArray<std::atomic<Key>> out;  // sorted result (index place-1)
 
-  TreeState(std::span<const Key> k, Compare c)
-      : keys(k), cmp(c), nodes(k.size()), out(k.size()) {
-    init();
-  }
-
-  // Pooled form: records and output borrow RunArena storage.
+  // Records and output borrow RunArena storage.  Each record is constructed
+  // once, with its final values, straight into the arena's uninitialised
+  // bytes.
   TreeState(std::span<const Key> k, Compare c, RunArena& arena)
-      : keys(k), cmp(c), nodes(k.size(), arena), out(k.size(), arena) {
-    init();
-  }
-
-  void init() {
-    const std::span<const Key> k = keys;
-    root.store(0, std::memory_order_relaxed);
+      : keys(k),
+        cmp(c),
+        nodes(arena.uninit<PackedNode<Key>>(k.size())),
+        out(k.size(), arena) {
     for (std::size_t i = 0; i < k.size(); ++i) {
-      PackedNode<Key>& nd = nodes[i];
-      nd.child[0].store(kNoIdx, std::memory_order_relaxed);
-      nd.child[1].store(kNoIdx, std::memory_order_relaxed);
-      nd.size.store(0, std::memory_order_relaxed);
-      nd.place.store(0, std::memory_order_relaxed);
-      nd.place_done.store(0, std::memory_order_relaxed);
-      nd.key = k[i];
+      ::new (static_cast<void*>(nodes + i)) PackedNode<Key>{
+          {kNoIdx, kNoIdx}, std::int64_t{0}, std::int64_t{0}, k[i], std::uint8_t{0}};
     }
     std::atomic_thread_fence(std::memory_order_seq_cst);
   }

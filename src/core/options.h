@@ -139,6 +139,7 @@ struct SortStats {
   std::uint64_t total_build_iters = 0;
 
   // Depth of the Quicksort pivot tree (O(log N) w.h.p. on random input).
+  // 0 for Phase1::kPartition runs, which build no tree, and for N <= 1.
   std::uint32_t tree_depth = 0;
 
   // Failed CAS attempts during tree building (a native proxy for phase-1

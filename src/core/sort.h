@@ -121,11 +121,7 @@ std::vector<std::uint32_t> sort_permutation(std::span<const T> data,
     }
   }
   WFSORT_CHECK(engine.result_ready());
-  const auto& st = engine.state();
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    const std::int64_t place = st.place_of(static_cast<std::int64_t>(i));
-    perm[static_cast<std::size_t>(place - 1)] = static_cast<std::uint32_t>(i);
-  }
+  engine.output().permutation(perm);
   return perm;
 }
 

@@ -6,8 +6,10 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <vector>
 
+#include "common/arena.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "core/detail/build_phase.h"
@@ -28,21 +30,28 @@ using State = wfsort::detail::TreeState<std::uint64_t, std::less<std::uint64_t>>
 
 constexpr auto kKeepGoing = [] { return true; };
 
-// TreeState views its keys (non-owning span), so the fixture must own them
-// for the state's lifetime.
+// TreeState views its keys (non-owning span) and borrows its records from a
+// RunArena, so the fixture must own both for the state's lifetime.
 struct BuiltTree {
   std::vector<std::uint64_t> keys;
+  std::unique_ptr<wfsort::RunArena> arena;
   std::unique_ptr<State> state;
   State* operator->() { return state.get(); }
   State& operator*() { return *state; }
 };
 
-// Build the tree sequentially via build_one.
-BuiltTree build_sequential(std::vector<std::uint64_t> keys) {
-  BuiltTree t{std::move(keys), nullptr};
+// A fresh, unbuilt state over `keys`.
+BuiltTree unbuilt(std::vector<std::uint64_t> keys) {
+  BuiltTree t{std::move(keys), std::make_unique<wfsort::RunArena>(), nullptr};
   t.state = std::make_unique<State>(
       std::span<const std::uint64_t>(t.keys.data(), t.keys.size()),
-      std::less<std::uint64_t>{});
+      std::less<std::uint64_t>{}, *t.arena);
+  return t;
+}
+
+// Build the tree sequentially via build_one.
+BuiltTree build_sequential(std::vector<std::uint64_t> keys) {
+  BuiltTree t = unbuilt(std::move(keys));
   for (std::int64_t i = 0; i < t.state->n(); ++i) {
     wfsort::detail::build_one(*t.state, i);
   }
@@ -51,7 +60,8 @@ BuiltTree build_sequential(std::vector<std::uint64_t> keys) {
 
 TEST(TreeStateDetail, LessBreaksTiesByIndex) {
   std::vector<std::uint64_t> keys{5, 5, 3};
-  State st(std::span<const std::uint64_t>(keys), {});
+  wfsort::RunArena arena;
+  State st(std::span<const std::uint64_t>(keys), {}, arena);
   EXPECT_TRUE(st.less(0, 1));   // equal keys: index 0 < 1
   EXPECT_FALSE(st.less(1, 0));
   EXPECT_TRUE(st.less(2, 0));   // 3 < 5
@@ -71,7 +81,8 @@ TEST(TreeStateDetail, BuildOneShapesKnownTree) {
 
 TEST(TreeStateDetail, BuildFromInsertsBelowGivenParent) {
   std::vector<std::uint64_t> keys{50, 30, 70, 60};
-  State st(std::span<const std::uint64_t>(keys), {});
+  wfsort::RunArena arena;
+  State st(std::span<const std::uint64_t>(keys), {}, arena);
   wfsort::detail::build_one(st, 1);
   wfsort::detail::build_one(st, 2);
   // Insert 60 starting at element 2 (the fat-tree handoff path).
@@ -230,10 +241,7 @@ TEST(TreeStateDetail, SeqCutoffCrashedBlockWalkerIsRedoneByNextWorker) {
 TEST(TreeStateDetail, BuildBatchMatchesSequentialBuild) {
   const std::vector<std::uint64_t> keys{9, 4, 12, 1, 6, 10, 15, 0, 5, 8, 11, 13, 2, 7};
   auto ref = build_sequential(keys);
-  BuiltTree t{keys, nullptr};
-  t.state = std::make_unique<State>(
-      std::span<const std::uint64_t>(t.keys.data(), t.keys.size()),
-      std::less<std::uint64_t>{});
+  BuiltTree t = unbuilt(keys);
   wfsort::detail::BuildTally tally;
   ASSERT_TRUE(wfsort::detail::build_batch(*t.state, 0, t.state->n(), tally, kKeepGoing));
   EXPECT_GT(tally.iterations, 0u);
@@ -264,7 +272,8 @@ TEST(TreeStateDetail, LcPhasesCompleteOnHandBuiltTree) {
 
 TEST(TreeStateDetail, LcPhasesSingleElement) {
   std::vector<std::uint64_t> keys{42};
-  State st(std::span<const std::uint64_t>(keys), {});
+  wfsort::RunArena arena;
+  State st(std::span<const std::uint64_t>(keys), {}, arena);
   LcMarks sum_marks(1), place_marks(1);
   wfsort::Rng rng(1);
   wfsort::detail::LcProbeTally tally;
@@ -419,51 +428,73 @@ TEST(SimdDescend, DispatchedMatchesScalarBitExactly) {
 
 // ---- partition phase ----------------------------------------------------
 
+using Partition = wfsort::detail::PartitionShared<std::uint64_t>;
+using PartitionLocal = wfsort::detail::PartitionLocal<std::uint64_t>;
+constexpr std::less<std::uint64_t> kLess{};
+
 // Drive the three partition sweeps to completion single-threaded, the way
 // one surviving worker would.
-void run_partition(State& st, wfsort::detail::PartitionShared<std::uint64_t>& ps,
-                   wfsort::detail::PartitionLocal<std::uint64_t>& local) {
-  ASSERT_TRUE(wfsort::detail::partition_prepare(st, ps, local, kKeepGoing));
+void run_partition(Partition& ps, PartitionLocal& local) {
+  ASSERT_TRUE(wfsort::detail::partition_prepare(kLess, ps, local, kKeepGoing));
   for (std::int64_t c = 0; c < ps.chunks; ++c) {
-    ASSERT_TRUE(wfsort::detail::partition_classify(st, ps, local, c, kKeepGoing));
+    ASSERT_TRUE(wfsort::detail::partition_classify(kLess, ps, local, c, kKeepGoing));
   }
   ASSERT_TRUE(wfsort::detail::partition_offsets(ps, local, kKeepGoing));
   for (std::int64_t c = 0; c < ps.chunks; ++c) {
-    ASSERT_TRUE(wfsort::detail::partition_scatter(st, ps, local, c, kKeepGoing));
+    ASSERT_TRUE(wfsort::detail::partition_scatter(ps, local, c, kKeepGoing));
   }
   for (std::int64_t b = 0; b < ps.buckets; ++b) {
-    ASSERT_TRUE(wfsort::detail::partition_bucket(st, ps, local, b, kKeepGoing));
+    ASSERT_TRUE(wfsort::detail::partition_bucket(kLess, ps, local, b, kKeepGoing));
   }
 }
 
 TEST(PartitionPhase, SingleBucketBelowChunkSize) {
   auto keys = pattern_input("random", 100);  // < kChunk: one bucket, no splitters
-  State st(std::span<const std::uint64_t>(keys), {});
-  wfsort::detail::PartitionShared<std::uint64_t> ps{std::span<const std::uint64_t>(keys)};
+  wfsort::RunArena arena;
+  Partition ps(std::span<const std::uint64_t>(keys), /*keys_out=*/true, arena);
   EXPECT_EQ(ps.buckets, 1);
-  wfsort::detail::PartitionLocal<std::uint64_t> local;
-  run_partition(st, ps, local);
+  ASSERT_NE(ps.out, nullptr);
+  EXPECT_EQ(ps.out_idx, nullptr);
+  PartitionLocal local;
+  run_partition(ps, local);
   EXPECT_TRUE(local.splitters.empty());
-  EXPECT_TRUE(st.all_placed());
   auto expected = keys;
   std::sort(expected.begin(), expected.end());
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    EXPECT_EQ(st.out[i].load(), expected[i]);
+    EXPECT_EQ(ps.out[i], expected[i]);
   }
 }
 
 TEST(PartitionPhase, ManyChunksDuplicateHeavyMatchesSort) {
   auto keys = pattern_input("dup-heavy", 10000);  // 5 chunks -> 4 buckets
-  State st(std::span<const std::uint64_t>(keys), {});
-  wfsort::detail::PartitionShared<std::uint64_t> ps{std::span<const std::uint64_t>(keys)};
+  wfsort::RunArena arena;
+  Partition ps(std::span<const std::uint64_t>(keys), /*keys_out=*/true, arena);
   EXPECT_GT(ps.buckets, 1);
-  wfsort::detail::PartitionLocal<std::uint64_t> local;
-  run_partition(st, ps, local);
-  EXPECT_TRUE(st.all_placed());
+  PartitionLocal local;
+  run_partition(ps, local);
   auto expected = keys;
   std::sort(expected.begin(), expected.end());
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    EXPECT_EQ(st.out[i].load(), expected[i]) << i;
+    EXPECT_EQ(ps.out[i], expected[i]) << i;
+  }
+}
+
+TEST(PartitionPhase, IndexOutputIsTheStableArgsort) {
+  // The sort_permutation form stores each rank's input index instead of its
+  // key: exactly the (key, index) argsort.
+  auto keys = pattern_input("dup-heavy", 10000);
+  wfsort::RunArena arena;
+  Partition ps(std::span<const std::uint64_t>(keys), /*keys_out=*/false, arena);
+  EXPECT_EQ(ps.out, nullptr);
+  ASSERT_NE(ps.out_idx, nullptr);
+  PartitionLocal local;
+  run_partition(ps, local);
+  std::vector<std::uint32_t> expected(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) expected[i] = static_cast<std::uint32_t>(i);
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&](std::uint32_t a, std::uint32_t b) { return keys[a] < keys[b]; });
+  for (std::size_t r = 0; r < keys.size(); ++r) {
+    EXPECT_EQ(ps.out_idx[r], expected[r]) << r;
   }
 }
 
@@ -471,18 +502,14 @@ TEST(PartitionPhase, AllEqualKeysSplittersStayBalanced) {
   // Every key identical: only the index tie-break separates splitters, and
   // it must keep the buckets balanced instead of collapsing them into one.
   auto keys = pattern_input("all-equal", 8192);
-  State st(std::span<const std::uint64_t>(keys), {});
-  wfsort::detail::PartitionShared<std::uint64_t> ps{std::span<const std::uint64_t>(keys)};
+  wfsort::RunArena arena;
+  Partition ps(std::span<const std::uint64_t>(keys), /*keys_out=*/false, arena);
   ASSERT_GT(ps.buckets, 1);
-  wfsort::detail::PartitionLocal<std::uint64_t> local;
-  run_partition(st, ps, local);
-  EXPECT_TRUE(st.all_placed());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    EXPECT_EQ(st.out[i].load(), 42u);
-  }
-  // place is the (key, index) rank: with equal keys, element i ranks i+1.
-  for (std::int64_t i = 0; i < st.n(); ++i) {
-    EXPECT_EQ(st.place_of(i), i + 1);
+  PartitionLocal local;
+  run_partition(ps, local);
+  // The (key, index) rank: with equal keys, rank r holds element r.
+  for (std::size_t r = 0; r < keys.size(); ++r) {
+    EXPECT_EQ(ps.out_idx[r], r);
   }
   const std::int64_t cap = 2 * ps.n / ps.buckets;
   for (std::size_t b = 0; b + 1 < local.base.size(); ++b) {
@@ -494,29 +521,30 @@ TEST(PartitionPhase, AllEqualKeysSplittersStayBalanced) {
 
 TEST(PartitionPhase, EmptyBucketIsSkipped) {
   std::vector<std::uint64_t> keys{3, 1, 2};
-  State st(std::span<const std::uint64_t>(keys), {});
-  wfsort::detail::PartitionShared<std::uint64_t> ps{std::span<const std::uint64_t>(keys)};
-  wfsort::detail::PartitionLocal<std::uint64_t> local;
+  wfsort::RunArena arena;
+  Partition ps(std::span<const std::uint64_t>(keys), /*keys_out=*/true, arena);
+  std::fill(ps.out, ps.out + keys.size(), 99u);
+  PartitionLocal local;
   // Hand-crafted bases with an empty bucket 0 (skewed input vs the sample):
-  // the job must return success without touching any element.
+  // the job must return success without touching any output slot.
   local.base = {0, 0, 0};
-  EXPECT_TRUE(wfsort::detail::partition_bucket(st, ps, local, 0, kKeepGoing));
-  for (std::int64_t i = 0; i < st.n(); ++i) {
-    EXPECT_EQ(st.place_of(i), 0) << i;
+  EXPECT_TRUE(wfsort::detail::partition_bucket(kLess, ps, local, 0, kKeepGoing));
+  for (std::size_t r = 0; r < keys.size(); ++r) {
+    EXPECT_EQ(ps.out[r], 99u) << r;
   }
 }
 
 TEST(PartitionPhase, AbortedSweepsReturnFalse) {
   auto keys = pattern_input("random", 10000);
-  State st(std::span<const std::uint64_t>(keys), {});
-  wfsort::detail::PartitionShared<std::uint64_t> ps{std::span<const std::uint64_t>(keys)};
-  wfsort::detail::PartitionLocal<std::uint64_t> local;
+  wfsort::RunArena arena;
+  Partition ps(std::span<const std::uint64_t>(keys), /*keys_out=*/true, arena);
+  PartitionLocal local;
   int budget = 5;
   auto limited = [&budget] { return budget-- > 0; };
-  EXPECT_FALSE(wfsort::detail::partition_prepare(st, ps, local, limited));
-  ASSERT_TRUE(wfsort::detail::partition_prepare(st, ps, local, kKeepGoing));
+  EXPECT_FALSE(wfsort::detail::partition_prepare(kLess, ps, local, limited));
+  ASSERT_TRUE(wfsort::detail::partition_prepare(kLess, ps, local, kKeepGoing));
   budget = 5;
-  EXPECT_FALSE(wfsort::detail::partition_classify(st, ps, local, 0, limited));
+  EXPECT_FALSE(wfsort::detail::partition_classify(kLess, ps, local, 0, limited));
 }
 
 TEST(TreeStateDetail, AllPlacedAndMeasureDepth) {

@@ -195,6 +195,7 @@ TEST(FatTreeQuota, PerParticipantQuotaFillsWhp) {
 // Build a pivot tree sequentially so the randomized phases can run on it.
 struct BuiltTree {
   std::vector<std::uint64_t> keys;
+  std::unique_ptr<wfsort::RunArena> arena;  // the state's record storage
   std::unique_ptr<State> state;
 };
 
@@ -202,9 +203,10 @@ BuiltTree build_tree(std::uint64_t n, std::uint64_t seed) {
   BuiltTree t;
   wfsort::Rng rng(seed);
   for (std::uint64_t i = 0; i < n; ++i) t.keys.push_back(rng.below(1 << 30));
+  t.arena = std::make_unique<wfsort::RunArena>();
   t.state = std::make_unique<State>(
       std::span<const std::uint64_t>(t.keys.data(), t.keys.size()),
-      std::less<std::uint64_t>{});
+      std::less<std::uint64_t>{}, *t.arena);
   for (std::int64_t i = 0; i < t.state->n(); ++i) {
     wfsort::detail::build_one(*t.state, i);
   }

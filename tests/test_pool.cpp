@@ -26,6 +26,7 @@
 #include <new>
 #include <random>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/pool.h"
@@ -364,6 +365,85 @@ TEST(SortPoolConcurrency, ParallelSubmittersOnOnePool) {
   submitters.clear();  // join
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(pool.stats().runs, 32u);
+}
+
+// Per-variant shared state, measured where the pool keeps it: a det/partition
+// lane holds only the partition's arrays (key copy, bucket ids, scattered
+// pairs, output — about 30 bytes per u64 element), never the 64-byte
+// pivot-tree records that only the tree path reads.  The tree lane still
+// holds those records.
+TEST(SortPoolFootprint, PartitionLaneHoldsNoPivotTree) {
+  const std::size_t n = std::size_t{1} << 16;
+  {
+    SortPool pool(4);
+    std::vector<std::uint64_t> v = random_values(n, 1200);
+    pool.sort(std::span<std::uint64_t>(v), det_partition_opts());
+    ASSERT_TRUE(std::is_sorted(v.begin(), v.end()));
+    EXPECT_LE(pool.stats().arena_held_bytes, 40 * n);
+  }
+  {
+    SortPool pool(4);
+    std::vector<std::uint64_t> v = random_values(n, 1201);
+    pool.sort(std::span<std::uint64_t>(v), det_tree_opts());
+    ASSERT_TRUE(std::is_sorted(v.begin(), v.end()));
+    EXPECT_GE(pool.stats().arena_held_bytes, 64 * n);
+  }
+}
+
+std::vector<std::uint64_t> pattern_values(int pattern, std::size_t n,
+                                          std::uint64_t seed) {
+  if (pattern == 0) return random_values(n, seed);
+  std::vector<std::uint64_t> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = pattern == 1 ? 7 : (i < n / 2 ? i : n - i);  // all-equal, organ-pipe
+  }
+  return v;
+}
+
+// The partition arrays are taken from the lane uninitialised, so a run
+// starts on the previous run's bytes: its keys, bucket ids, scattered pairs
+// and output.  Every slot must be written before it is read, also when
+// workers die mid-sweep and survivors redo their jobs.  Sizes straddle the
+// 2048-element chunk (one bucket, two buckets with a one-element last chunk,
+// three buckets plus one element).
+TEST(SortPoolStaleStorage, PartitionLaneNeverReadsPreviousRunBytes) {
+  SortPool pool(4);
+  const Options opts = det_partition_opts();
+  std::uint64_t seed = 1300;
+  for (const std::size_t n : {std::size_t{2047}, std::size_t{2049},
+                              std::size_t{3 * 2048 + 1}}) {
+    for (int pattern = 0; pattern < 3; ++pattern) {
+      const std::string label =
+          "n=" + std::to_string(n) + " pattern=" + std::to_string(pattern);
+      std::vector<std::uint64_t> a = random_values(n, seed++);
+      pool.sort(std::span<std::uint64_t>(a), opts);
+      ASSERT_TRUE(std::is_sorted(a.begin(), a.end())) << label;
+
+      const std::vector<std::uint64_t> b = pattern_values(pattern, n, seed++);
+      std::vector<std::uint64_t> expect = b;
+      std::sort(expect.begin(), expect.end());
+      std::vector<std::uint64_t> got = b;
+      // Staggered kills spread over the sweeps; worker 3 survives.
+      wfsort::runtime::FaultPlan plan(8);
+      plan.crash_at(0, n / 8 + 1);
+      plan.crash_at(1, n / 2 + 1);
+      plan.crash_at(2, n + 1);
+      ASSERT_TRUE(pool.sort_with_faults(std::span<std::uint64_t>(got), opts, plan))
+          << label;
+      EXPECT_EQ(got, expect) << label;
+
+      // The stable argsort, as (key, index) order: std::stable_sort would
+      // allocate through the nothrow operator new this file does not hook.
+      std::vector<std::uint32_t> argsort(n);
+      for (std::size_t i = 0; i < n; ++i) argsort[i] = static_cast<std::uint32_t>(i);
+      std::sort(argsort.begin(), argsort.end(), [&b](std::uint32_t x, std::uint32_t y) {
+        return b[x] != b[y] ? b[x] < b[y] : x < y;
+      });
+      EXPECT_EQ(wfsort::sort_permutation(std::span<const std::uint64_t>(b), opts),
+                argsort)
+          << label;
+    }
+  }
 }
 
 // Sanity on the counters the CLI exports into the bench schema.

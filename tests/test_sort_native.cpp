@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
@@ -252,12 +253,17 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, SortSweep, testing::ValuesIn(make_sweep()
 // traversal per element, cutoff 0 = pure frame machinery) and a cutoff
 // larger than most subtrees, and runs the deterministic rows under both
 // phase-1 strategies (pivot tree and blocked partition).
+// gtest prints a parameter without a PrintTo as its raw bytes, and those
+// bytes end up in the registered test name.  The struct therefore has no
+// padding (wat_batch is 64-bit for that reason alone): padding bytes are
+// indeterminate, and a name built from them changes from build to build.
 struct KnobParam {
-  std::uint32_t wat_batch;
+  std::uint64_t wat_batch;
   std::uint64_t seq_cutoff;
   Variant variant;
   Phase1 phase1 = Phase1::kTree;
 };
+static_assert(std::has_unique_object_representations_v<KnobParam>);
 
 std::string knob_label(const KnobParam& p) {
   return "b" + std::to_string(p.wat_batch) + "_c" + std::to_string(p.seq_cutoff) +
@@ -276,7 +282,7 @@ TEST_P(KnobSweep, SortsToPermutation) {
                Options{.threads = 3,
                        .variant = p.variant,
                        .phase1 = p.phase1,
-                       .wat_batch = p.wat_batch,
+                       .wat_batch = static_cast<std::uint32_t>(p.wat_batch),
                        .seq_cutoff = p.seq_cutoff},
                &stats);
   expect_sorted_permutation(orig, v, knob_label(p));
@@ -306,18 +312,22 @@ INSTANTIATE_TEST_SUITE_P(Grid, KnobSweep, testing::ValuesIn(make_knob_sweep()),
 // rank of (key, i) in the index-tie-broken total order, so the output
 // PERMUTATION — visible through sort_permutation on duplicate-heavy input —
 // must match rank for rank.
+// The sizes around the partition's 2048-element chunk straddle its one- and
+// multi-bucket shapes and leave a one-element last chunk.
 TEST(SortNative, PartitionPhasePermutationMatchesTreeBitExactly) {
   const Workload workloads[] = {Workload::kRandom, Workload::kAllEqual,
                                 Workload::kFewDistinct, Workload::kOrganPipe};
-  for (Workload w : workloads) {
-    const auto v = make_workload(w, 6000, 321);
-    const auto tree_perm = wfsort::sort_permutation(
-        std::span<const std::uint64_t>(v),
-        Options{.threads = 4, .phase1 = Phase1::kTree});
-    const auto part_perm = wfsort::sort_permutation(
-        std::span<const std::uint64_t>(v),
-        Options{.threads = 4, .phase1 = Phase1::kPartition});
-    EXPECT_EQ(tree_perm, part_perm) << workload_name(w);
+  for (const std::uint64_t n : {6000u, 2047u, 2049u, 3u * 2048u + 1u}) {
+    for (Workload w : workloads) {
+      const auto v = make_workload(w, n, 321);
+      const auto tree_perm = wfsort::sort_permutation(
+          std::span<const std::uint64_t>(v),
+          Options{.threads = 4, .phase1 = Phase1::kTree});
+      const auto part_perm = wfsort::sort_permutation(
+          std::span<const std::uint64_t>(v),
+          Options{.threads = 4, .phase1 = Phase1::kPartition});
+      EXPECT_EQ(tree_perm, part_perm) << workload_name(w) << " n=" << n;
+    }
   }
 }
 
