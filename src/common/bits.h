@@ -34,13 +34,80 @@ constexpr std::uint64_t next_pow2(std::uint64_t x) {
 // dropped).  Enumerating 0..2^bits-1 through bit_reverse visits every value
 // once in an order where consecutive outputs differ in their HIGH bits — a
 // deterministic shuffle, used to break up sorted runs before insertion.
+// Branch-free: reverse all 64 bits by swapping ever larger halves, then
+// shift the low `bits` bits (now on top) back down.
 constexpr std::uint64_t bit_reverse(std::uint64_t x, std::uint32_t bits) {
-  std::uint64_t r = 0;
-  for (std::uint32_t b = 0; b < bits; ++b) {
-    r |= ((x >> b) & 1u) << (bits - 1u - b);
-  }
-  return r;
+  if (bits == 0) return 0;
+  x = ((x >> 1) & 0x5555555555555555ULL) | ((x & 0x5555555555555555ULL) << 1);
+  x = ((x >> 2) & 0x3333333333333333ULL) | ((x & 0x3333333333333333ULL) << 2);
+  x = ((x >> 4) & 0x0F0F0F0F0F0F0F0FULL) | ((x & 0x0F0F0F0F0F0F0F0FULL) << 4);
+  x = ((x >> 8) & 0x00FF00FF00FF00FFULL) | ((x & 0x00FF00FF00FF00FFULL) << 8);
+  x = ((x >> 16) & 0x0000FFFF0000FFFFULL) | ((x & 0x0000FFFF0000FFFFULL) << 16);
+  x = (x >> 32) | (x << 32);
+  return x >> (64u - bits);
 }
+
+// --- Bit-reversed stripes ----------------------------------------------------
+//
+// Stripe `s` of stride J over [0, n) is the index set {s, s+J, s+2J, ...}
+// below n.  Stripe enumerates it in BIT-REVERSED OFFSET order: the k-th
+// visit is offset bit_reverse(k) (over the smallest power of two covering
+// the stripe; offsets past its end are skipped), so the first visits halve,
+// then quarter, ... the stripe's span.  A presorted run inserted in that
+// order builds a balanced pivot tree instead of a chain.  Skipping offsets
+// past the end is the same as enumerating over any wider power of two:
+// bit_reverse(2m, b+1) == bit_reverse(m, b), and odd k land at offsets
+// >= 2^b.
+class Stripe {
+ public:
+  constexpr Stripe(std::uint64_t s, std::uint64_t stride, std::uint64_t n)
+      : base_(s),
+        stride_(stride),
+        len_(s < n ? (n - s + stride - 1) / stride : 0),
+        bits_(log2_ceil(len_)) {}
+
+  // Store the stripe's next index in `i`; false once it is exhausted.
+  constexpr bool next(std::uint64_t& i) {
+    while (k_ < (std::uint64_t{1} << bits_)) {
+      const std::uint64_t off = bit_reverse(k_++, bits_);
+      if (off < len_) {
+        i = base_ + off * stride_;
+        return true;
+      }
+    }
+    return false;
+  }
+
+ private:
+  std::uint64_t base_;
+  std::uint64_t stride_;
+  std::uint64_t len_;
+  std::uint32_t bits_;
+  std::uint64_t k_ = 0;
+};
+
+// The pivot-tree build's job space over n elements at batch size `batch`
+// (the paper's K): J = next_pow2(ceil(n / batch)) jobs, and job j inserts
+// stripe bit_reverse(j) of stride J — at most `batch` elements, since
+// J >= n / batch.  The stripes partition [0, n).  A worker claiming jobs
+// 0, 1, 2, ... visits stripes 0, J/2, J/4, 3J/4, ..., each in bit-reversed
+// offset order: for a power-of-two n it inserts element bit_reverse(p) at
+// step p, so every prefix of the insertion order is an even sample of the
+// whole index range.
+struct StripedJobs {
+  std::uint64_t n;
+  std::uint64_t jobs;  // J, a power of two
+  std::uint32_t job_bits;
+
+  constexpr StripedJobs(std::uint64_t elements, std::uint64_t batch)
+      : n(elements),
+        jobs(next_pow2((elements + batch - 1) / batch)),
+        job_bits(log2_floor(jobs)) {}
+
+  constexpr Stripe stripe(std::uint64_t job) const {
+    return Stripe(bit_reverse(job, job_bits), jobs, n);
+  }
+};
 
 // Integer square root (floor).
 constexpr std::uint64_t isqrt(std::uint64_t x) {

@@ -14,16 +14,25 @@
 //     slots — the overwhelmingly common case on a deep descent — cost a
 //     shared cache-line read instead of an RMW bus transaction;
 //   * build_batch() runs several independent descents interleaved, one step
-//     each in element order, prefetching every descent's next node record.
+//     each in stripe order, prefetching every descent's next node record.
 //     Descents of distinct elements never depend on each other, so this
 //     only overlaps their cache misses (memory-level parallelism); each
 //     element still walks exactly the path Figure 4 assigns it.
+//
+// Insertion order.  Figure 4 leaves the order open: a processor inserts
+// whatever elements the WAT hands it.  The engine hands out bit-reversed
+// stripes (StripedJobs in common/bits.h), not runs of adjacent indices, so
+// presorted, reversed, organ-pipe and few-distinct inputs build a tree of
+// depth ~log2 N instead of an N-deep chain (docs/native_engine.md,
+// "Insertion order").  Only the job-to-element map moved; the loop is the
+// paper's.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 
+#include "common/bits.h"
 #include "common/simd.h"
 #include "core/detail/tree_state.h"
 #include "telemetry/recorder.h"
@@ -100,14 +109,14 @@ BuildResult build_one(TreeState<Key, Compare>& st, std::int64_t i) {
   return build_from(st, i, r0);
 }
 
-// Insert elements [lo, hi) — one WAT batch — with up to kBuildLanes descents
-// in flight, stepped round-robin.  When two in-flight elements race for the
-// same empty slot, the larger stalls until the smaller has had its CAS
-// (smaller_rival below), so a single worker produces exactly the tree the
-// batch would have produced sequentially — in particular the sorted-input
-// chain of Lemma 2.4's worst case survives batching.  `keep_going` is
-// polled once per completed element (the engine's fault checkpoint
-// granularity); returns false if the worker was aborted.
+// Insert the elements of `stripe` — one WAT job — with up to kBuildLanes
+// descents in flight, stepped round-robin.  When two in-flight elements race
+// for the same empty slot, the one later in the stripe's order stalls until
+// the earlier one has had its CAS (smaller_rival below), so a single worker
+// produces exactly the tree that build_one over the stripe's order would
+// have produced sequentially: batching changes the timing, never the shape.
+// `keep_going` is polled once per completed element (the engine's fault
+// checkpoint granularity); returns false if the worker was aborted.
 inline constexpr int kBuildLanes = 8;
 static_assert(kBuildLanes <= simd::kMaxLanes);
 
@@ -138,28 +147,39 @@ inline void batch_descend_sides(const TreeState<Key, Compare>& st,
 
 template <typename Key, typename Compare, typename Check,
           typename Tel = std::nullptr_t>
-bool build_batch(TreeState<Key, Compare>& st, std::int64_t lo, std::int64_t hi,
-                 BuildTally& tally, Check&& keep_going, Tel tel = nullptr) {
+bool build_batch(TreeState<Key, Compare>& st, Stripe stripe, BuildTally& tally,
+                 Check&& keep_going, Tel tel = nullptr) {
   constexpr bool kTel = telemetry::kTelEnabled<Tel>;
   struct Lane {
     std::int64_t elem;
     std::int64_t parent;
     Key ekey;  // cached key of elem, gathered once at refill for the batch compare
     std::uint64_t iterations;
-    std::uint64_t fails;  // per-lane only when kTel (feeds the histogram)
+    // A 32-bit pair keeps a lane at 40 bytes for 8-byte keys (48 bytes cost
+    // ~5% of phase 1 at N = 2^14, t = 4 on a 4-vCPU Xeon).  pos < wat_batch
+    // < 2^32; fails, a telemetry-only count, stays below `iterations`.
+    std::uint32_t fails;  // per-lane only when kTel (feeds the histogram)
+    std::uint32_t pos;    // position in the stripe's order (decides slot races)
   };
   [[maybe_unused]] bool tel_detail = false;
   if constexpr (kTel) tel_detail = tel != nullptr && tel->detail;
   Lane lanes[kBuildLanes];
   int active = 0;
   const std::int64_t root = st.root_idx();
-  std::int64_t next = lo;
+  std::uint32_t issued = 0;
+  // The stripe's next element, read one refill ahead so that its record
+  // (a stripe's elements lie far apart) is prefetched before its key is.
+  std::uint64_t ahead = 0;
+  bool have_ahead = stripe.next(ahead);
+  if (have_ahead) st.prefetch(static_cast<std::int64_t>(ahead));
 
   const auto refill = [&](int slot) {
-    while (next < hi) {
-      const std::int64_t i = next++;
+    while (have_ahead) {
+      const auto i = static_cast<std::int64_t>(ahead);
+      have_ahead = stripe.next(ahead);
+      if (have_ahead) st.prefetch(static_cast<std::int64_t>(ahead));
       if (i == root) continue;  // the root is never inserted
-      lanes[slot] = {i, root, st.key_of(i), 0, 0};
+      lanes[slot] = {i, root, st.key_of(i), 0, 0, issued++};
       st.prefetch(root);
       return true;
     }
@@ -171,15 +191,16 @@ bool build_batch(TreeState<Key, Compare>& st, std::int64_t lo, std::int64_t hi,
     ++active;
   }
 
-  // True if some other in-flight lane holds a smaller element aimed at the
-  // same empty slot.  The smaller element must win the slot (as it would
-  // have sequentially), so the caller stalls this lane for the round.  Any
-  // two in-flight competitors for one slot are necessarily at the same
-  // parent already — a descent step always moves exactly one level down, so
-  // the smaller element (started no later) can never be shallower.
+  // True if some other in-flight lane holds an element EARLIER in the
+  // stripe's order aimed at the same empty slot.  The earlier element must
+  // win the slot (as it would have sequentially), so the caller stalls this
+  // lane for the round.  Any two in-flight competitors for one slot are
+  // necessarily at the same parent already — a descent step always moves
+  // exactly one level down, so the earlier element (started no later) can
+  // never be shallower.
   const auto smaller_rival = [&](int l, const Lane& ln, Side side) {
     for (int k = 0; k < active; ++k) {
-      if (k == l || lanes[k].elem >= ln.elem || lanes[k].parent != ln.parent) continue;
+      if (k == l || lanes[k].pos >= ln.pos || lanes[k].parent != ln.parent) continue;
       if (st.descend_side(lanes[k].elem, ln.parent) == side) return true;
     }
     return false;

@@ -14,9 +14,10 @@
 //     det-partition;
 //   * the pivot tree lives in packed per-node records (TreeState), one
 //     cache line per visit instead of four parallel arrays;
-//   * phase-1 work is claimed in batches of Options::wat_batch adjacent
-//     jobs per WAT traversal (the paper's K), built with interleaved,
-//     prefetched descents (build_batch);
+//   * phase-1 work is claimed as stripes of at most Options::wat_batch
+//     elements per WAT traversal (the paper's K), inserted in bit-reversed
+//     order (StripedJobs) with interleaved, prefetched descents
+//     (build_batch);
 //   * phase-3 subtrees at or below Options::seq_cutoff are emitted by one
 //     sequential in-order walk (place_block);
 //   * per-element statistics accumulate in per-worker tallies and are
@@ -35,7 +36,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "common/arena.h"
 #include "common/bits.h"
@@ -166,7 +166,8 @@ class Engine {
         if (effective_variant_ == Variant::kLowContention) {
           init_lc();
         } else {
-          wat_ = arena_->create<Wat>(batch_jobs(data_.size(), wat_batch_), *arena_);
+          wat_ = arena_->create<Wat>(StripedJobs(data_.size(), wat_batch_).jobs,
+                                     *arena_);
         }
       }
     }
@@ -410,7 +411,7 @@ class Engine {
       ::new (static_cast<void*>(lc_->group_states + g))
           TreeState<Key, Compare>(keys, cmp_, arena);
       ::new (static_cast<void*>(lc_->group_wats + g))
-          Wat(batch_jobs(slice, wat_batch_), arena);
+          Wat(StripedJobs(slice, wat_batch_).jobs, arena);
       ++lc_->constructed;
     }
     // One sorted-order buffer per worker id the run can legally use (same
@@ -467,12 +468,12 @@ class Engine {
     if constexpr (kTel) tel_detail = tel->detail;
     TreeState<Key, Compare>& st = *st_;
     Wat& wat = *wat_;
-    const std::int64_t n = st.n();
+    const StripedJobs jobs(data_.size(), wat_batch_);
 
     PhaseClock clock;
     clock.start();
     if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kBuild);
-    // Phase 1: WAT-allocated tree building, one batch of adjacent jobs per
+    // Phase 1: WAT-allocated tree building, one bit-reversed stripe per
     // claimed leaf.
     BuildTally tally;
     std::int64_t node = wat.initial_leaf(tid, nominal_threads_);
@@ -493,11 +494,7 @@ class Engine {
             wat_probes = 0;
           }
         }
-        const std::int64_t lo =
-            static_cast<std::int64_t>(wat.job_of(node) * wat_batch_);
-        const std::int64_t hi =
-            std::min<std::int64_t>(n, lo + static_cast<std::int64_t>(wat_batch_));
-        if (!build_batch(st, lo, hi, tally, chk, tel)) {
+        if (!build_batch(st, jobs.stripe(wat.job_of(node)), tally, chk, tel)) {
           flush_build(tally);
           return false;
         }
@@ -637,7 +634,7 @@ class Engine {
         std::max<std::uint32_t>(1, nominal_threads_ / lc.groups);
     TreeState<Key, Compare>& gst = lc.group_states[group];
     Wat& gwat = lc.group_wats[group];
-    const std::int64_t slice_n = static_cast<std::int64_t>(lc.slice_len);
+    const StripedJobs group_jobs(lc.slice_len, wat_batch_);
     std::int64_t node = gwat.initial_leaf(tid / lc.groups, group_workers);
     [[maybe_unused]] std::uint64_t wat_probes = 1;  // WAT nodes since last claim
     while (true) {
@@ -656,11 +653,7 @@ class Engine {
             wat_probes = 0;
           }
         }
-        const std::int64_t lo =
-            static_cast<std::int64_t>(gwat.job_of(node) * wat_batch_);
-        const std::int64_t hi =
-            std::min<std::int64_t>(slice_n, lo + static_cast<std::int64_t>(wat_batch_));
-        if (!build_batch(gst, lo, hi, tally, chk, tel)) {
+        if (!build_batch(gst, group_jobs.stripe(gwat.job_of(node)), tally, chk, tel)) {
           flush_build(tally);
           return false;
         }
@@ -744,7 +737,7 @@ class Engine {
     }
 
     // Stage E: insert every remaining element (paper step 3).  Work is
-    // allocated by random probing (LC-WAT) — one job per STRIPE of
+    // allocated by random probing (LC-WAT) — one job per Stripe of
     // ~wat_batch elements (job j covers {j, j+J, j+2J, ...} with J the job
     // count; the paper's K of Lemma 2.7), so the coupon-collector probing
     // cost is paid per stripe, not per element.  Stripes, unlike contiguous
@@ -756,21 +749,17 @@ class Engine {
     // the whole index range, so inserting it in bit-reversed order is
     // globally self-balancing — first stripe claimed anywhere partitions
     // the range like a balanced tree, and every later stripe lands spread
-    // across it.  Elements descend the fat tree eight at a time with a
-    // pre-drawn copy plane and prefetch (fat_handoffs), then enter the
-    // pivot tree through build_lanes with bounded CAS backoff.
+    // across it.  The job index itself needs no bit reversal here (unlike
+    // StripedJobs): LC-WAT claims are random already.  Elements descend the
+    // fat tree eight at a time with a pre-drawn copy plane and prefetch
+    // (fat_handoffs), then enter the pivot tree through build_lanes with
+    // bounded CAS backoff.
     if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kLcInsert);
     Rng rng_insert = worker_stage_rng(opts_.seed, tid, LcRngStage::kInsert);
     const std::int64_t wbase = static_cast<std::int64_t>(w) *
                                static_cast<std::int64_t>(lc.slice_len);
     const std::int64_t wend = wbase + static_cast<std::int64_t>(lc.slice_len);
-    const std::int64_t n = st.n();
     std::uint64_t fat_reads = 0;
-    // thread_local: pooled workers keep the stripe buffer's capacity warm
-    // across runs (run_worker is never reentrant on one thread).
-    static thread_local std::vector<std::int64_t> run;
-    run.clear();
-    run.reserve(static_cast<std::size_t>(wat_batch_));
     [[maybe_unused]] std::uint64_t lcwat_probes = 0;  // step() calls since last claim
     const auto insert_run = [&](std::uint64_t j) {
       if constexpr (kTel) {
@@ -783,32 +772,29 @@ class Engine {
           lcwat_probes = 0;
         }
       }
-      const std::uint64_t stride = lc.insert_wat.jobs();
-      const std::uint64_t un = static_cast<std::uint64_t>(n);
-      const std::uint64_t len = (un - j + stride - 1) / stride;  // stripe size
-      const std::uint32_t bits = log2_ceil(next_pow2(len));
-      run.clear();
-      for (std::uint64_t k = 0; k < (std::uint64_t{1} << bits); ++k) {
-        const std::uint64_t off = bit_reverse(k, bits);
-        if (off >= len) continue;
-        const std::int64_t i = static_cast<std::int64_t>(j + off * stride);
-        if (i >= wbase && i < wend) continue;  // already in the tree (fat top)
-        run.push_back(i);
-      }
-      // The run is claimed (marked DONE) only after this returns, so the
-      // fault checkpoint stays OUTSIDE: a crashed worker's partial run is
+      // The stripe is claimed (marked DONE) only after this returns, so the
+      // fault checkpoint stays OUTSIDE: a crashed worker's partial stripe is
       // re-executed by whoever probes the leaf next, and every insert is
       // idempotent.
       const auto no_abort = [] { return true; };
-      for (std::size_t pos = 0; pos < run.size(); pos += kBuildLanes) {
-        const int cnt = static_cast<int>(
-            std::min<std::size_t>(kBuildLanes, run.size() - pos));
+      std::int64_t elems[kBuildLanes];
+      int cnt = 0;
+      const auto insert_lanes = [&] {
         std::int64_t parents[kBuildLanes];
-        fat_handoffs(run.data() + pos, cnt, sorted_idx, rng_insert, fat_misses,
-                     fat_reads, parents);
-        build_lanes(st, run.data() + pos, parents, cnt, opts_.backoff_limit,
-                    tally, no_abort, tel);
+        fat_handoffs(elems, cnt, sorted_idx, rng_insert, fat_misses, fat_reads,
+                     parents);
+        build_lanes(st, elems, parents, cnt, opts_.backoff_limit, tally, no_abort,
+                    tel);
+        cnt = 0;
+      };
+      Stripe stripe(j, lc.insert_wat.jobs(), data_.size());
+      for (std::uint64_t u; stripe.next(u);) {
+        const auto i = static_cast<std::int64_t>(u);
+        if (i >= wbase && i < wend) continue;  // already in the tree (fat top)
+        elems[cnt++] = i;
+        if (cnt == kBuildLanes) insert_lanes();
       }
+      if (cnt > 0) insert_lanes();
     };
     const auto flush_insert = [&] {
       flush_build(tally);

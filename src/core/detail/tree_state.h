@@ -67,12 +67,16 @@ struct TreeState {
 
   // Records and output borrow RunArena storage.  Each record is constructed
   // once, with its final values, straight into the arena's uninitialised
-  // bytes.
+  // bytes.  The records are advised onto huge pages first: descents visit
+  // them at random, and the bit-reversed insertion order spreads even the
+  // tree's top levels over the whole array (docs/native_engine.md,
+  // "Insertion order").
   TreeState(std::span<const Key> k, Compare c, RunArena& arena)
       : keys(k),
         cmp(c),
         nodes(arena.uninit<PackedNode<Key>>(k.size())),
         out(k.size(), arena) {
+    advise_huge_pages(nodes, k.size() * sizeof(PackedNode<Key>));
     for (std::size_t i = 0; i < k.size(); ++i) {
       ::new (static_cast<void*>(nodes + i)) PackedNode<Key>{
           {kNoIdx, kNoIdx}, std::int64_t{0}, std::int64_t{0}, k[i], std::uint8_t{0}};

@@ -36,7 +36,11 @@ enum class PrunePlaced { kNo, kYes, kDone };
 //
 // kTree is the paper's CAS pivot-tree insertion: optimal own-step bound,
 // but every element pays a root-to-leaf pointer chase with a CAS at the
-// end — the dominant cost of the sequential gap vs std::sort.
+// end — the dominant cost of the sequential gap vs std::sort.  Each WAT job
+// inserts a bit-reversed stripe of at most wat_batch elements spread over
+// the whole input (not a run of adjacent indices), so sorted, reversed,
+// organ-pipe and few-distinct inputs build a tree of depth ~log2 N rather
+// than an N-deep chain; the order is a fixed function of (N, wat_batch).
 //
 // kPartition replaces the tree with a blocked in-place parallel partition
 // (Kuszmaul–Westover style blocks against SPMS-style sampled splitters):
@@ -64,11 +68,12 @@ struct Options {
   std::uint32_t lc_copies = 0;
 
   // Phase-1 job batching — the paper's K in Lemma 2.7 (O(N/P (log N + K))
-  // work allocation): each WAT leaf hands out a contiguous run of this many
-  // elements, so one WAT traversal is amortized over the run and the run's
-  // descents are interleaved with prefetching (build_batch).  1 = the seed's
-  // one-job-per-traversal behaviour.  Default measured on the tracked bench
-  // host (docs/native_engine.md).
+  // work allocation): each WAT leaf hands out a stripe of at most this many
+  // elements (indices s, s+J, s+2J, ... for J = next_pow2(ceil(N / K))
+  // jobs), so one WAT traversal is amortized over the stripe and its
+  // descents are interleaved with prefetching (build_batch).  1 = one element
+  // per WAT traversal.  Default measured on the tracked bench host
+  // (docs/native_engine.md).
   std::uint32_t wat_batch = 32;
 
   // Phase-3 sequential cutoff: a subtree of at most this many elements is

@@ -7,9 +7,11 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/arena.h"
+#include "common/bits.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "core/detail/build_phase.h"
@@ -238,18 +240,148 @@ TEST(TreeStateDetail, SeqCutoffCrashedBlockWalkerIsRedoneByNextWorker) {
   }
 }
 
+// Build the tree sequentially via build_one, inserting `jobs`' stripes job
+// by job in enumeration order — the order one worker claims them in.
+BuiltTree build_striped_sequential(std::vector<std::uint64_t> keys,
+                                   const wfsort::StripedJobs& jobs) {
+  BuiltTree t = unbuilt(std::move(keys));
+  for (std::uint64_t j = 0; j < jobs.jobs; ++j) {
+    wfsort::Stripe stripe = jobs.stripe(j);
+    for (std::uint64_t i; stripe.next(i);) {
+      wfsort::detail::build_one(*t.state, static_cast<std::int64_t>(i));
+    }
+  }
+  return t;
+}
+
+void expect_same_links(BuiltTree& got, BuiltTree& ref, const std::string& what) {
+  for (std::int64_t i = 0; i < got->n(); ++i) {
+    EXPECT_EQ(got->child_of(i, kSmall), ref->child_of(i, kSmall)) << what << " i=" << i;
+    EXPECT_EQ(got->child_of(i, kBig), ref->child_of(i, kBig)) << what << " i=" << i;
+  }
+}
+
 TEST(TreeStateDetail, BuildBatchMatchesSequentialBuild) {
   const std::vector<std::uint64_t> keys{9, 4, 12, 1, 6, 10, 15, 0, 5, 8, 11, 13, 2, 7};
-  auto ref = build_sequential(keys);
+  const wfsort::StripedJobs one_stripe(keys.size(), keys.size());
+  ASSERT_EQ(one_stripe.jobs, 1u);
+  auto ref = build_striped_sequential(keys, one_stripe);
   BuiltTree t = unbuilt(keys);
   wfsort::detail::BuildTally tally;
-  ASSERT_TRUE(wfsort::detail::build_batch(*t.state, 0, t.state->n(), tally, kKeepGoing));
+  ASSERT_TRUE(wfsort::detail::build_batch(*t.state, one_stripe.stripe(0), tally, kKeepGoing));
   EXPECT_GT(tally.iterations, 0u);
   EXPECT_GE(tally.max_iterations, 1u);
-  for (std::int64_t i = 0; i < t.state->n(); ++i) {
-    EXPECT_EQ(t.state->child_of(i, kSmall), ref->child_of(i, kSmall)) << i;
-    EXPECT_EQ(t.state->child_of(i, kBig), ref->child_of(i, kBig)) << i;
+  EXPECT_EQ(tally.installs, keys.size() - 1);  // everything but the root
+  expect_same_links(t, ref, "one stripe");
+}
+
+TEST(TreeStateDetail, BuildBatchSlotRaceGoesToEarlierStripePosition) {
+  // One stripe over 16 elements runs 0, 8, 4, 12, 2, 10, 6, 14, 1, 9, ...:
+  // the root (0) is skipped, so the eight lanes start on 8, 4, 12, 2, 10,
+  // 6, 14, 1.  Every key is above the root's, so all eight aim at the
+  // root's empty BIG slot in the first round: lane order decides nothing
+  // by itself, and 8 — first in the stripe, not the smallest index — must
+  // take it, as it does sequentially.  Lanes then refill with 9, 5, ...
+  // while older lanes (larger indices such as 12, 14) are still racing
+  // down the same path: an index-ordered stall would hand those slots to
+  // the wrong element.
+  std::vector<std::uint64_t> keys(16);
+  for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = 100 + (i * 7) % 16;
+  keys[0] = 0;
+  const wfsort::StripedJobs one_stripe(keys.size(), keys.size());
+  auto ref = build_striped_sequential(keys, one_stripe);
+  EXPECT_EQ(ref->child_of(0, kBig), 8);
+  BuiltTree t = unbuilt(keys);
+  wfsort::detail::BuildTally tally;
+  ASSERT_TRUE(wfsort::detail::build_batch(*t.state, one_stripe.stripe(0), tally, kKeepGoing));
+  EXPECT_GT(tally.cas_failures, 0u);  // lanes did meet on occupied slots
+  expect_same_links(t, ref, "race");
+}
+
+TEST(TreeStateDetail, BuildBatchOverStripedJobsMatchesSequentialBuild) {
+  // A single worker running build_batch over every job in order builds
+  // exactly the sequential tree of the striped order, on inputs where the
+  // lanes collide constantly (presorted, all-equal) as well as random ones.
+  wfsort::Rng rng(11);
+  for (const std::size_t n : {9u, 33u, 100u, 257u}) {
+    for (const std::uint64_t batch : {1u, 4u, 32u, 1000u}) {
+      for (int pattern = 0; pattern < 4; ++pattern) {
+        std::vector<std::uint64_t> keys(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          keys[i] = pattern == 0   ? i
+                    : pattern == 1 ? n - i
+                    : pattern == 2 ? 5
+                                   : rng.below(n / 2 + 1);
+        }
+        const wfsort::StripedJobs jobs(n, batch);
+        auto ref = build_striped_sequential(keys, jobs);
+        BuiltTree t = unbuilt(keys);
+        wfsort::detail::BuildTally tally;
+        for (std::uint64_t j = 0; j < jobs.jobs; ++j) {
+          ASSERT_TRUE(wfsort::detail::build_batch(*t.state, jobs.stripe(j), tally,
+                                                  kKeepGoing));
+        }
+        EXPECT_EQ(tally.installs, n - 1);
+        expect_same_links(t, ref,
+                          "n=" + std::to_string(n) + " batch=" + std::to_string(batch) +
+                              " pattern=" + std::to_string(pattern));
+      }
+    }
   }
+}
+
+// ---- stripes ------------------------------------------------------------
+
+TEST(StripeDetail, StripedJobsVisitEveryIndexOnce) {
+  for (const std::uint64_t n : {2u, 31u, 32u, 33u, 2047u, 2049u, 65537u}) {
+    for (const std::uint64_t batch : {1u, 4u, 32u}) {
+      const wfsort::StripedJobs jobs(n, batch);
+      EXPECT_TRUE(wfsort::is_pow2(jobs.jobs));
+      EXPECT_GE(jobs.jobs * batch, n);
+      std::vector<std::uint8_t> seen(n, 0);
+      for (std::uint64_t j = 0; j < jobs.jobs; ++j) {
+        wfsort::Stripe stripe = jobs.stripe(j);
+        std::uint64_t count = 0;
+        for (std::uint64_t i; stripe.next(i);) {
+          ASSERT_LT(i, n) << "n=" << n << " batch=" << batch << " job=" << j;
+          ASSERT_EQ(seen[i]++, 0) << "n=" << n << " batch=" << batch << " i=" << i;
+          ++count;
+        }
+        EXPECT_LE(count, batch) << "n=" << n << " job=" << j;
+      }
+      EXPECT_EQ(std::count(seen.begin(), seen.end(), 1), static_cast<std::ptrdiff_t>(n))
+          << "n=" << n << " batch=" << batch;
+    }
+  }
+}
+
+TEST(StripeDetail, StripeRunsInBitReversedOffsetOrder) {
+  // Stripe 1 of stride 4 below 23: offsets 0..5 of {1, 5, 9, 13, 17, 21},
+  // visited as bit_reverse(k, 3) = 0, 4, 2, (6), 1, 5, 3, (7).
+  wfsort::Stripe stripe(1, 4, 23);
+  std::vector<std::uint64_t> got;
+  for (std::uint64_t i; stripe.next(i);) got.push_back(i);
+  EXPECT_EQ(got, (std::vector<std::uint64_t>{1, 17, 9, 5, 21, 13}));
+  // A stripe that starts past the end is empty.
+  wfsort::Stripe empty(9, 16, 9);
+  std::uint64_t i = 0;
+  EXPECT_FALSE(empty.next(i));
+}
+
+TEST(StripeDetail, OneWorkerInsertsBitReversalOfItsStep) {
+  // For a power-of-two N, claiming jobs 0, 1, 2, ... inserts element
+  // bit_reverse(p) at step p — the order whose every prefix is an even
+  // sample of the index range.
+  const std::uint64_t n = 256;
+  const wfsort::StripedJobs jobs(n, 32);
+  std::uint64_t p = 0;
+  for (std::uint64_t j = 0; j < jobs.jobs; ++j) {
+    wfsort::Stripe stripe = jobs.stripe(j);
+    for (std::uint64_t i; stripe.next(i); ++p) {
+      EXPECT_EQ(i, wfsort::bit_reverse(p, 8)) << p;
+    }
+  }
+  EXPECT_EQ(p, n);
 }
 
 TEST(TreeStateDetail, LcPhasesCompleteOnHandBuiltTree) {

@@ -5,13 +5,16 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <ostream>
 #include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
 
+#include "common/bits.h"
 #include "common/rng.h"
 #include "core/sort.h"
+#include "exp/workloads.h"
 #include "runtime/adversaries.h"
 #include "runtime/fault_script.h"
 
@@ -23,6 +26,7 @@ using wfsort::PrunePlaced;
 using wfsort::Rng;
 using wfsort::SortStats;
 using wfsort::Variant;
+using wfsort::exp::Dist;
 
 // ------------------------------------------------------------ workloads
 
@@ -387,18 +391,99 @@ TEST(SortNative, PrunePlacedYesFaultlessIsCorrect) {
   }
 }
 
-TEST(SortNative, DeterministicVariantDepthNOnSortedInputStillSorts) {
-  // Deterministic + sorted input degenerates the pivot tree into a path;
-  // the sort must still complete correctly (just not in optimal time).
-  auto v = make_workload(Workload::kSorted, 2000, 0);
-  auto orig = v;
+// ------------------------------------------------------------ tree depth
+
+// The det-tree phase 1 inserts bit-reversed stripes (StripedJobs), so no
+// input distribution the workload generators know turns the pivot tree into
+// a chain: depth stays within a small multiple of log2 N on every one of
+// them, at one worker (one fixed insertion order) and at four (interleaved
+// claims), and the total descent work stays O(N log N).
+struct DepthParam {
+  Dist dist;
+  std::uint32_t threads;
+  std::uint64_t n;
+};
+
+std::string depth_label(const DepthParam& p) {
+  std::string name = wfsort::exp::dist_name(p.dist);
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name + "_n" + std::to_string(p.n) + "_t" + std::to_string(p.threads);
+}
+
+// Names the parameter in test listings (instead of its raw bytes).
+void PrintTo(const DepthParam& p, std::ostream* os) { *os << depth_label(p); }
+
+class TreeDepthMatrix : public testing::TestWithParam<DepthParam> {};
+
+TEST_P(TreeDepthMatrix, DepthStaysLogarithmic) {
+  const DepthParam p = GetParam();
+  auto v = wfsort::exp::make_u64_keys(p.n, p.dist, 900 + p.n);
+  const auto orig = v;
   SortStats stats;
-  // One thread inserts in index order, so the pivot tree degenerates into a
-  // single chain of BIG children (with more threads the chains started at
-  // each WAT leaf merge and the depth shrinks).
-  wfsort::sort(std::span<std::uint64_t>(v), Options{.threads = 1}, &stats);
-  expect_sorted_permutation(orig, v, "det-sorted");
-  EXPECT_EQ(stats.tree_depth, 2000u);  // a chain: depth == N
+  wfsort::sort(std::span<std::uint64_t>(v),
+               Options{.threads = p.threads, .phase1 = Phase1::kTree}, &stats);
+  expect_sorted_permutation(orig, v, depth_label(p));
+  const std::uint64_t lg = wfsort::log2_ceil(p.n);
+  const std::uint64_t depth_factor = p.threads == 1 ? 3 : 4;
+  EXPECT_LE(stats.tree_depth, depth_factor * lg) << depth_label(p);
+  EXPECT_LE(stats.total_build_iters, 4 * p.n * lg) << depth_label(p);
+}
+
+std::vector<DepthParam> make_depth_matrix() {
+  std::vector<DepthParam> out;
+  for (Dist d : {Dist::kUniform, Dist::kShuffled, Dist::kSorted, Dist::kReversed,
+                 Dist::kOrganPipe, Dist::kFewDistinct}) {
+    for (std::uint64_t n : {2000u, 65537u}) {
+      for (std::uint32_t t : {1u, 4u}) out.push_back({d, t, n});
+    }
+  }
+  return out;
+}
+
+std::string depth_name(const testing::TestParamInfo<DepthParam>& info) {
+  return depth_label(info.param);
+}
+
+INSTANTIATE_TEST_SUITE_P(Dists, TreeDepthMatrix, testing::ValuesIn(make_depth_matrix()),
+                         depth_name);
+
+TEST(SortNative, BitReversedKeysAreTheStripedOrdersWorstCase) {
+  // The striped order has its own worst case: keys ordered as the bit
+  // reversal of their index.  One worker inserts element bit_reverse(p) at
+  // step p (StripedJobs), i.e. these keys in ascending order, so the tree is
+  // a chain of depth N — the pre-stripe sorted-input pathology, moved to an
+  // input no generator or real data set produces.  It must still sort, and
+  // Lemma 2.4's N-1 bound on one descent still holds.
+  constexpr std::uint64_t kN = 2048;
+  std::vector<std::uint64_t> v(kN);
+  for (std::uint64_t i = 0; i < kN; ++i) v[i] = wfsort::bit_reverse(i, 11);
+  for (std::uint32_t t : {1u, 4u}) {
+    auto w = v;
+    SortStats stats;
+    wfsort::sort(std::span<std::uint64_t>(w), Options{.threads = t}, &stats);
+    expect_sorted_permutation(v, w, "bit-reversed t=" + std::to_string(t));
+    EXPECT_LE(stats.max_build_iters, kN - 1);
+    if (t == 1) {
+      EXPECT_EQ(stats.tree_depth, kN);  // a chain, documented
+    }
+  }
+}
+
+TEST(SortNative, TreePermutationOnFewDistinctIsStableArgsort) {
+  // Striped insertion changes the tree's shape, never the order it encodes:
+  // element i still lands at the rank of (key, i).
+  for (const std::size_t n : {2000u, 65537u}) {
+    const auto v = make_workload(Workload::kFewDistinct, n, 4242);
+    std::vector<std::uint32_t> expected(n);
+    for (std::uint32_t i = 0; i < n; ++i) expected[i] = i;
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&v](std::uint32_t a, std::uint32_t b) { return v[a] < v[b]; });
+    for (std::uint32_t t : {1u, 4u}) {
+      const auto perm = wfsort::sort_permutation(
+          std::span<const std::uint64_t>(v), Options{.threads = t, .phase1 = Phase1::kTree});
+      EXPECT_EQ(perm, expected) << "n=" << n << " t=" << t;
+    }
+  }
 }
 
 // ------------------------------------------------------------ fault injection
@@ -423,6 +508,29 @@ TEST(SortFaults, CrashAllButOneWorkerStillSorts) {
     if (crash_point == 1) {
       EXPECT_EQ(stats.crashed_workers, kThreads - 1);
     }
+  }
+}
+
+TEST(SortFaults, CrashMidStripeOnSortedInputStillSorts) {
+  // The fault checkpoint is polled once per inserted element, so these
+  // crashes land inside a stripe: its job stays unclaimed with part of it
+  // inserted, and whoever claims it next re-executes the whole stripe
+  // (inserts are idempotent).  Sorted input is where a broken re-execution
+  // would show: the stripe order is all that keeps its tree shallow.
+  constexpr std::uint64_t kN = 4096;
+  for (std::uint64_t crash_point : {1ULL, 10ULL, 100ULL}) {
+    auto v = make_workload(Workload::kSorted, kN, crash_point);
+    const auto orig = v;
+    constexpr std::uint32_t kThreads = 4;
+    wfsort::runtime::FaultPlan plan(kThreads);
+    for (std::uint32_t t = 1; t < kThreads; ++t) plan.crash_at(t, crash_point);
+    SortStats stats;
+    const bool ok = wfsort::sort_with_faults(std::span<std::uint64_t>(v),
+                                             Options{.threads = kThreads}, plan, &stats);
+    ASSERT_TRUE(ok) << "crash_point=" << crash_point;
+    expect_sorted_permutation(orig, v, "mid-stripe crash@" + std::to_string(crash_point));
+    EXPECT_GE(stats.completed_workers, 1u);
+    EXPECT_LE(stats.tree_depth, 4u * wfsort::log2_ceil(kN)) << crash_point;
   }
 }
 
