@@ -15,7 +15,8 @@
 // completion:
 //
 //   classify   jobs = chunks of kChunk elements.  The worker histograms its
-//              chunk against the splitters, STORES the per-bucket counts
+//              chunk by descending a branch-free implicit splitter tree
+//              (super scalar sample sort), STORES the per-bucket counts
 //              (identical from every worker — idempotent) into the shared
 //              hist table, and caches each element's bucket id.
 //   scatter    jobs = the same chunks.  With the full histogram visible, the
@@ -52,7 +53,10 @@
 //
 // Splitters are deterministic and computed locally by every worker: a fixed
 // stride sample of kOversample*B elements, leaf-sorted by (key, index), with
-// every kOversample-th taken as a bucket boundary.  Bucketing by the number
+// every kOversample-th taken as a bucket boundary, laid out once as an
+// implicit search tree (Sanders & Winkel's super scalar sample sort: the
+// descent's comparison result feeds the next node index, never a branch, and
+// several elements descend together).  Bucketing by the number
 // of splitters strictly below an item (the same total order as
 // TreeState::less) makes bucket ranks a refinement of the global (key,
 // index) order, so the emitted output is bit-identical to the tree path's —
@@ -66,11 +70,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "common/arena.h"
+#include "common/bits.h"
 #include "common/check.h"
 #include "core/detail/leaf_sort.h"
 #include "workalloc/wat.h"
@@ -116,7 +122,7 @@ struct PartitionShared {
   // gated by classify_wat's done flags, never by the values themselves.
   std::uint32_t* hist;
   // Per-element bucket id, filled by classify and read back by scatter so
-  // the splitter binary search runs once per element, not twice.  Same
+  // the splitter-tree descent runs once per element, not twice.  Same
   // idempotent-store / ALLDONE-gated discipline as `hist`; uint16 because
   // kMaxBuckets is 1024.
   std::uint16_t* bucket_id;
@@ -168,7 +174,12 @@ struct PartitionShared {
 // read by another worker.
 template <typename Key>
 struct PartitionLocal {
-  std::vector<LeafItem<Key>> splitters;    // buckets-1 ascending boundaries
+  // The buckets-1 splitters as an implicit search tree: node j's children
+  // are 2j and 2j+1 (tree[0] unused), and an in-order walk of nodes
+  // 1 .. 2^levels-1 yields the splitters in ascending order, padded with
+  // copies of the largest.  At most 1024 items (16 KiB for 8-byte keys).
+  std::vector<LeafItem<Key>> tree;
+  int levels = 0;                          // ceil(log2(buckets))
   std::vector<std::uint32_t> counts;       // classify scratch (buckets)
   std::vector<std::uint32_t> offsets;      // chunks x buckets absolute start slots
   std::vector<std::int64_t> base;          // buckets+1 bucket base slots
@@ -187,77 +198,110 @@ struct PartitionLocal {
   }
 };
 
-// Bucket of one (key, index) item: the number of splitters strictly below it
-// in the (key, index) total order.  Plain binary search — the comparison
-// feeds an index update rather than a code-path choice, so the compiler
-// lowers it to conditional moves (≤10 branch-free steps at kMaxBuckets).
+// Whether splitter `s` lies strictly below the item (key, idx) in the
+// (key, index) order.  Both comparisons always run and combine bitwise, so
+// the answer is a value, not a branch: a tree descent built on it has no
+// data-dependent jumps to mispredict.
 template <typename Key, typename Compare>
-inline std::int64_t partition_bucket_of(const PartitionLocal<Key>& local,
-                                        const LeafItemLess<Key, Compare>& less,
-                                        const LeafItem<Key>& it) {
-  std::int64_t lo = 0;
-  std::int64_t hi = static_cast<std::int64_t>(local.splitters.size());
-  while (lo < hi) {
-    const std::int64_t mid = lo + (hi - lo) / 2;
-    if (less(local.splitters[static_cast<std::size_t>(mid)], it)) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
+inline std::size_t splitter_below(const Compare& cmp, const LeafItem<Key>& s,
+                                  const Key& key, std::int64_t idx) {
+  const bool l = cmp(s.key, key);
+  const bool g = cmp(key, s.key);
+  return static_cast<std::size_t>(l | (!g & (s.idx < idx)));
 }
 
 // Compute this worker's splitters (identical for every worker): gather the
-// stride sample, leaf-sort it, keep every kOversample-th item as a
-// boundary.  Polls `keep_going` once per sampled element.
+// stride sample, leaf-sort it, lay every kOversample-th item out as a node
+// of the splitter tree.  Polls `keep_going` once per sampled element.
 template <typename Key, typename Compare, typename Check>
 bool partition_prepare(const Compare& cmp, const PartitionShared<Key>& ps,
                        PartitionLocal<Key>& local, Check&& keep_going) {
   local.counts.assign(static_cast<std::size_t>(ps.buckets), 0);
   local.cursor.assign(static_cast<std::size_t>(ps.buckets), 0);
-  local.splitters.clear();
+  local.tree.clear();
+  local.levels = 0;
   if (ps.buckets <= 1) return true;
-  local.items.clear();
-  local.items.reserve(static_cast<std::size_t>(ps.sample_size));
+  local.items.resize(static_cast<std::size_t>(ps.sample_size));
+  LeafItem<Key>* sample = local.items.data();
   for (std::int64_t k = 0; k < ps.sample_size; ++k) {
     if (!keep_going()) return false;
     // Fixed stride positions (k*n)/S — deterministic, spread over the whole
     // input, distinct because S <= n.
     const std::int64_t i = (k * ps.n) / ps.sample_size;
-    local.items.push_back({ps.key(i), i});
+    sample[k] = {ps.key(i), i};
   }
-  leaf_sort(local.items.data(), local.items.data() + local.items.size(),
-            LeafItemLess<Key, Compare>{cmp}, &local.tally);
-  local.splitters.reserve(static_cast<std::size_t>(ps.buckets - 1));
-  for (std::int64_t b = 1; b < ps.buckets; ++b) {
-    // Boundary b sits at the end of the b-th sample stripe; clamp for the
-    // capped-sample case (sample_size < kOversample * buckets).
+  leaf_sort(sample, sample + ps.sample_size, LeafItemLess<Key, Compare>{cmp},
+            &local.tally);
+  // Node j at depth d sits at in-order position (j - 2^d) * 2^(h+1) + 2^h - 1,
+  // h = levels - 1 - d its height.  Position p holds splitter p+1, clamped to
+  // the last one, buckets-1.  Splitter b is the item ending the b-th sample
+  // stripe, clamped for the capped-sample case (sample_size < kOversample *
+  // buckets).
+  const int levels = static_cast<int>(log2_ceil(static_cast<std::uint64_t>(ps.buckets)));
+  const std::size_t nodes = std::size_t{1} << levels;
+  local.levels = levels;
+  local.tree.resize(nodes);
+  for (std::size_t j = 1; j < nodes; ++j) {
+    const int h = levels - static_cast<int>(std::bit_width(j));
+    const std::int64_t p = static_cast<std::int64_t>(
+        ((j - std::bit_floor(j)) << (h + 1)) + (std::size_t{1} << h) - 1);
+    const std::int64_t b = std::min(p + 1, ps.buckets - 1);
     const std::int64_t r =
         std::min((b * ps.sample_size) / ps.buckets, ps.sample_size - 1);
-    local.splitters.push_back(local.items[static_cast<std::size_t>(r)]);
+    local.tree[j] = sample[r];
   }
   return true;
 }
 
 // Classify sweep, one chunk: histogram the chunk against the splitters and
 // store the counts.  Idempotent (identical values from every worker).
+//
+// Each element descends the splitter tree, j = 2j + [tree[j] < item], for
+// `levels` steps; the leaf index j - 2^levels counts the padded splitters
+// below the item, and clamping it to buckets-1 discounts the padding.
+// kGroup elements descend in lockstep so their independent tree loads
+// overlap; the chunk's tail goes one element at a time.  keep_going is
+// polled once per element — a group's polls all come before its descent.
 template <typename Key, typename Compare, typename Check>
 bool partition_classify(const Compare& cmp, PartitionShared<Key>& ps,
                         PartitionLocal<Key>& local, std::int64_t chunk,
                         Check&& keep_going) {
-  const LeafItemLess<Key, Compare> less{cmp};
+  constexpr std::int64_t kGroup = 8;
   const std::int64_t lo = chunk * PartitionShared<Key>::kChunk;
   const std::int64_t hi = std::min(ps.n, lo + PartitionShared<Key>::kChunk);
   std::uint32_t* counts = local.counts.data();
   for (std::int64_t b = 0; b < ps.buckets; ++b) counts[b] = 0;
-  for (std::int64_t i = lo; i < hi; ++i) {
-    if (!keep_going()) return false;
-    const LeafItem<Key> it{ps.key(i), i};
-    const std::int64_t b = partition_bucket_of(local, less, it);
+  const LeafItem<Key>* tree = local.tree.data();
+  const int levels = local.levels;
+  const std::size_t leaves = std::size_t{1} << levels;
+  const std::size_t last = static_cast<std::size_t>(ps.buckets - 1);
+  const auto record = [&](std::int64_t i, std::size_t j) {
+    const std::size_t b = std::min(j - leaves, last);
     ++counts[b];
     store_relaxed(ps.bucket_id[static_cast<std::size_t>(i)],
                   static_cast<std::uint16_t>(b));
+  };
+  std::int64_t i = lo;
+  for (; i + kGroup <= hi; i += kGroup) {
+    for (std::int64_t u = 0; u < kGroup; ++u) {
+      if (!keep_going()) return false;
+    }
+    std::size_t j[kGroup];
+    for (std::size_t& x : j) x = 1;
+    for (int l = 0; l < levels; ++l) {
+      for (std::int64_t u = 0; u < kGroup; ++u) {
+        j[u] = 2 * j[u] + splitter_below(cmp, tree[j[u]], ps.key(i + u), i + u);
+      }
+    }
+    for (std::int64_t u = 0; u < kGroup; ++u) record(i + u, j[u]);
+  }
+  for (; i < hi; ++i) {
+    if (!keep_going()) return false;
+    std::size_t j = 1;
+    for (int l = 0; l < levels; ++l) {
+      j = 2 * j + splitter_below(cmp, tree[j], ps.key(i), i);
+    }
+    record(i, j);
   }
   std::uint32_t* row = ps.hist + static_cast<std::size_t>(chunk * ps.buckets);
   for (std::int64_t b = 0; b < ps.buckets; ++b) store_relaxed(row[b], counts[b]);
@@ -338,16 +382,18 @@ bool partition_bucket(const Compare& cmp, PartitionShared<Key>& ps,
   const std::int64_t lo = local.base[static_cast<std::size_t>(bucket)];
   const std::int64_t hi = local.base[static_cast<std::size_t>(bucket) + 1];
   if (lo == hi) return true;  // empty bucket (skewed input vs the sample)
-  local.items.clear();
-  local.items.reserve(static_cast<std::size_t>(hi - lo));
+  // Sized once and filled by index: a per-element push_back leaves the
+  // gather loop's cost to whether the compiler inlines vector growth into
+  // the (large) engine worker, and out of line it is a call per element.
+  local.items.resize(static_cast<std::size_t>(hi - lo));
+  LeafItem<Key>* items = local.items.data();
   for (std::int64_t s = lo; s < hi; ++s) {
     if (!keep_going()) return false;
-    local.items.push_back(
-        {load_relaxed(ps.skey[static_cast<std::size_t>(s)]),
-         static_cast<std::int64_t>(load_relaxed(ps.sidx[static_cast<std::size_t>(s)]))});
+    items[s - lo] = {
+        load_relaxed(ps.skey[static_cast<std::size_t>(s)]),
+        static_cast<std::int64_t>(load_relaxed(ps.sidx[static_cast<std::size_t>(s)]))};
   }
-  leaf_sort(local.items.data(), local.items.data() + local.items.size(),
-            LeafItemLess<Key, Compare>{cmp}, &local.tally);
+  leaf_sort(items, items + (hi - lo), LeafItemLess<Key, Compare>{cmp}, &local.tally);
   std::size_t rank = static_cast<std::size_t>(lo);
   for (const LeafItem<Key>& it : local.items) {
     if (!keep_going()) return false;

@@ -563,6 +563,7 @@ TEST(SimdDescend, DispatchedMatchesScalarBitExactly) {
 using Partition = wfsort::detail::PartitionShared<std::uint64_t>;
 using PartitionLocal = wfsort::detail::PartitionLocal<std::uint64_t>;
 constexpr std::less<std::uint64_t> kLess{};
+constexpr wfsort::detail::LeafItemLess<std::uint64_t, std::less<std::uint64_t>> kItemLess{};
 
 // Drive the three partition sweeps to completion single-threaded, the way
 // one surviving worker would.
@@ -589,7 +590,8 @@ TEST(PartitionPhase, SingleBucketBelowChunkSize) {
   EXPECT_EQ(ps.out_idx, nullptr);
   PartitionLocal local;
   run_partition(ps, local);
-  EXPECT_TRUE(local.splitters.empty());
+  EXPECT_TRUE(local.tree.empty());
+  EXPECT_EQ(local.levels, 0);
   auto expected = keys;
   std::sort(expected.begin(), expected.end());
   for (std::size_t i = 0; i < keys.size(); ++i) {
@@ -666,8 +668,70 @@ TEST(PartitionPhase, EmptyBucketIsSkipped) {
   }
 }
 
+// The in-order splitters, rebuilt here without the engine's tree layout:
+// the fixed-stride sample, sorted by (key, index), every kOversample-th
+// item.
+std::vector<wfsort::detail::LeafItem<std::uint64_t>> reference_splitters(
+    const Partition& ps) {
+  using Item = wfsort::detail::LeafItem<std::uint64_t>;
+  std::vector<Item> sample;
+  for (std::int64_t k = 0; k < ps.sample_size; ++k) {
+    const std::int64_t i = (k * ps.n) / ps.sample_size;
+    sample.push_back({ps.key(i), i});
+  }
+  std::sort(sample.begin(), sample.end(), kItemLess);
+  std::vector<Item> splitters;
+  for (std::int64_t b = 1; b < ps.buckets; ++b) {
+    const std::int64_t r = std::min((b * ps.sample_size) / ps.buckets, ps.sample_size - 1);
+    splitters.push_back(sample[static_cast<std::size_t>(r)]);
+  }
+  return splitters;
+}
+
+TEST(PartitionPhase, ClassifyCountsSplittersStrictlyBelow) {
+  // Power-of-two and padded trees (2, 3, 5, 6, 7, 11 and 32 buckets), with
+  // and without a chunk tail shorter than one descent group.  At 6 and 11
+  // buckets, items between two real splitters descend through padding
+  // nodes, which therefore must repeat the largest splitter.
+  for (const std::size_t n : {2u * 2048u, 3u * 2048u + 1u, 5u * 2048u + 7u, 6u * 2048u + 5u,
+                              7u * 2048u, 11u * 2048u, 65536u}) {
+    for (const char* pattern : {"random", "presorted", "reverse", "all-equal", "dup-heavy"}) {
+      auto keys = pattern_input(pattern, n);
+      wfsort::RunArena arena;
+      Partition ps(std::span<const std::uint64_t>(keys), /*keys_out=*/true, arena);
+      PartitionLocal local;
+      ASSERT_TRUE(wfsort::detail::partition_prepare(kLess, ps, local, kKeepGoing));
+      const auto splitters = reference_splitters(ps);
+      ASSERT_EQ(static_cast<std::int64_t>(splitters.size()), ps.buckets - 1);
+      for (std::int64_t c = 0; c < ps.chunks; ++c) {
+        ASSERT_TRUE(wfsort::detail::partition_classify(kLess, ps, local, c, kKeepGoing));
+        const std::int64_t lo = c * Partition::kChunk;
+        const std::int64_t hi = std::min(ps.n, lo + Partition::kChunk);
+        std::vector<std::uint32_t> expected_row(static_cast<std::size_t>(ps.buckets), 0);
+        for (std::int64_t i = lo; i < hi; ++i) {
+          const wfsort::detail::LeafItem<std::uint64_t> item{ps.key(i), i};
+          const auto below = std::partition_point(
+              splitters.begin(), splitters.end(),
+              [&](const auto& s) { return kItemLess(s, item); });
+          const auto bucket = below - splitters.begin();
+          ASSERT_EQ(ps.bucket_id[i], bucket) << pattern << " n=" << n << " i=" << i;
+          ++expected_row[static_cast<std::size_t>(bucket)];
+        }
+        const std::uint32_t* row = ps.hist + c * ps.buckets;
+        std::uint64_t total = 0;
+        for (std::int64_t b = 0; b < ps.buckets; ++b) {
+          EXPECT_EQ(row[b], expected_row[static_cast<std::size_t>(b)]) << pattern << " n=" << n;
+          total += row[b];
+        }
+        EXPECT_EQ(total, static_cast<std::uint64_t>(hi - lo)) << pattern << " n=" << n;
+      }
+    }
+  }
+}
+
 TEST(PartitionPhase, AbortedSweepsReturnFalse) {
-  auto keys = pattern_input("random", 10000);
+  // 4 full chunks and a last one of 1813 = 8*226 + 5 elements: a group tail.
+  auto keys = pattern_input("random", 10005);
   wfsort::RunArena arena;
   Partition ps(std::span<const std::uint64_t>(keys), /*keys_out=*/true, arena);
   PartitionLocal local;
@@ -675,8 +739,39 @@ TEST(PartitionPhase, AbortedSweepsReturnFalse) {
   auto limited = [&budget] { return budget-- > 0; };
   EXPECT_FALSE(wfsort::detail::partition_prepare(kLess, ps, local, limited));
   ASSERT_TRUE(wfsort::detail::partition_prepare(kLess, ps, local, kKeepGoing));
-  budget = 5;
-  EXPECT_FALSE(wfsort::detail::partition_classify(kLess, ps, local, 0, limited));
+
+  const std::size_t nb = static_cast<std::size_t>(ps.buckets);
+  for (const std::int64_t chunk : {std::int64_t{0}, ps.chunks - 1}) {
+    const std::int64_t lo = chunk * Partition::kChunk;
+    const std::int64_t hi = std::min(ps.n, lo + Partition::kChunk);
+    std::uint32_t* row = ps.hist + chunk * ps.buckets;
+    // An uninterrupted run polls once per element.
+    std::int64_t polls = 0;
+    auto counting = [&polls] { ++polls; return true; };
+    ASSERT_TRUE(wfsort::detail::partition_classify(kLess, ps, local, chunk, counting));
+    EXPECT_EQ(polls, hi - lo);
+    const std::vector<std::uint16_t> ids(ps.bucket_id + lo, ps.bucket_id + hi);
+    const std::vector<std::uint32_t> counts(row, row + nb);
+
+    // Aborts inside and between descent groups, and inside the tail.
+    std::vector<int> budgets;
+    for (int k = 1; k <= 17; ++k) budgets.push_back(k);
+    for (int k = 1; k <= 3; ++k) budgets.push_back(static_cast<int>(hi - lo) - k);
+    for (const int k : budgets) {
+      std::fill(ps.bucket_id + lo, ps.bucket_id + hi, std::uint16_t{0xffff});
+      std::fill(row, row + nb, 0xffffffffu);
+      budget = k;
+      EXPECT_FALSE(wfsort::detail::partition_classify(kLess, ps, local, chunk, limited))
+          << "chunk=" << chunk << " budget=" << k;
+      // The hist row is stored only by a completed job.
+      EXPECT_EQ(std::count(row, row + nb, 0xffffffffu), static_cast<std::ptrdiff_t>(nb));
+      ASSERT_TRUE(wfsort::detail::partition_classify(kLess, ps, local, chunk, kKeepGoing));
+      EXPECT_EQ(std::vector<std::uint16_t>(ps.bucket_id + lo, ps.bucket_id + hi), ids)
+          << "chunk=" << chunk << " budget=" << k;
+      EXPECT_EQ(std::vector<std::uint32_t>(row, row + nb), counts)
+          << "chunk=" << chunk << " budget=" << k;
+    }
+  }
 }
 
 TEST(TreeStateDetail, AllPlacedAndMeasureDepth) {

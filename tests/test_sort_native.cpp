@@ -335,6 +335,37 @@ TEST(SortNative, PartitionPhasePermutationMatchesTreeBitExactly) {
   }
 }
 
+TEST(SortNative, PartitionPhaseHonoursTheCallersOrder) {
+  // The splitter tree compares through the caller's Compare alone: a
+  // descending order over 6 buckets, then double keys with many ties.
+  const std::size_t n = 5 * 2048 + 3;
+  Rng rng(77);
+  std::vector<std::uint64_t> v(n);
+  for (auto& x : v) x = rng.below(3) == 0 ? rng.next() : rng.below(8);
+  auto expected = v;
+  std::stable_sort(expected.begin(), expected.end(), std::greater<std::uint64_t>{});
+  wfsort::sort(std::span<std::uint64_t>(v),
+               Options{.threads = 4, .phase1 = Phase1::kPartition}, nullptr,
+               std::greater<std::uint64_t>{});
+  EXPECT_EQ(v, expected);
+
+  std::vector<double> d(n);
+  for (double& x : d) x = static_cast<double>(rng.below(50)) * 0.25 - 3.0;
+  const auto stable_argsort = [&](auto cmp) {
+    std::vector<std::uint32_t> idx(n);
+    for (std::size_t i = 0; i < n; ++i) idx[i] = static_cast<std::uint32_t>(i);
+    std::stable_sort(idx.begin(), idx.end(),
+                     [&](std::uint32_t a, std::uint32_t b) { return cmp(d[a], d[b]); });
+    return idx;
+  };
+  const Options part{.threads = 4, .phase1 = Phase1::kPartition};
+  EXPECT_EQ(wfsort::sort_permutation(std::span<const double>(d), part),
+            stable_argsort(std::less<double>{}));
+  EXPECT_EQ(wfsort::sort_permutation(std::span<const double>(d), part,
+                                     std::greater<double>{}),
+            stable_argsort(std::greater<double>{}));
+}
+
 // ------------------------------------------------------------ variants
 
 TEST(SortNative, LowContentionFallsBackBelowThreshold) {

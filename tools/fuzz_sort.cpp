@@ -2,9 +2,9 @@
 // validation.  Not a libFuzzer target (the environment is offline); a
 // seeded loop that shakes the whole stack:
 //
-//   * native sorter: random (n, threads, variant, prune, distribution,
-//     crash/sleep plan); result must be the sorted permutation whenever at
-//     least one worker survives, and untouched otherwise;
+//   * native sorter: random (n, threads, variant, phase 1, prune,
+//     distribution, crash/sleep plan); result must be the sorted permutation
+//     whenever at least one worker survives, and untouched otherwise;
 //   * simulator sorter: random (n, procs, variant, scheduler, memory
 //     model); deterministic runs get full structural validation.
 //   * fault scripts: a random FaultScript (kills, stalls, suspend/revive
@@ -44,12 +44,18 @@ wfsort::exp::Dist random_dist(Rng& rng) {
 }
 
 bool fuzz_native_once(Rng& rng, std::uint64_t iter) {
-  const std::size_t n = 2 + rng.below(4000);
-  const auto threads = static_cast<std::uint32_t>(1 + rng.below(6));
   wfsort::Options opts;
-  opts.threads = threads;
   opts.variant = rng.coin() ? wfsort::Variant::kDeterministic
                             : wfsort::Variant::kLowContention;
+  if (opts.variant == wfsort::Variant::kDeterministic && rng.coin()) {
+    opts.phase1 = wfsort::Phase1::kPartition;
+  }
+  // Partition runs get one bucket per 2048 elements: up to ~2^15 elements
+  // spans 1-16 buckets, so classify and scatter see padded splitter trees.
+  const bool partition = opts.phase1 == wfsort::Phase1::kPartition;
+  const std::size_t n = 2 + rng.below(partition ? 33000 : 4000);
+  const auto threads = static_cast<std::uint32_t>(1 + rng.below(6));
+  opts.threads = threads;
   const std::uint64_t pr = rng.below(3);
   opts.prune = pr == 0   ? wfsort::PrunePlaced::kNo
                : pr == 1 ? wfsort::PrunePlaced::kYes
@@ -61,14 +67,18 @@ bool fuzz_native_once(Rng& rng, std::uint64_t iter) {
   std::sort(expected.begin(), expected.end());
 
   // PrunePlaced::kYes is only sound without faults (documented); fuzz it
-  // faultlessly and fuzz the sound policies with hostile plans.
-  const bool with_faults = opts.prune != wfsort::PrunePlaced::kYes && rng.coin();
+  // faultlessly and fuzz the sound policies with hostile plans.  The
+  // partition path never prunes, so it takes plans under any policy.
+  const bool with_faults =
+      (partition || opts.prune != wfsort::PrunePlaced::kYes) && rng.coin();
   bool ok;
   if (with_faults) {
     wfsort::runtime::FaultPlan plan(threads);
     const auto kills = static_cast<std::uint32_t>(rng.below(threads));  // keep >= 1 alive
+    // Partition runs poll about once per element per sweep; reach all three.
+    const std::uint64_t horizon = partition ? 3 * n : 5000;
     for (std::uint32_t k = 0; k < kills; ++k) {
-      plan.crash_at(threads - 1 - k, 1 + rng.below(5000));
+      plan.crash_at(threads - 1 - k, 1 + rng.below(horizon));
     }
     if (rng.coin()) plan.sleep_at(0, 1 + rng.below(100), std::chrono::microseconds(500));
     ok = wfsort::sort_with_faults(std::span<std::uint64_t>(data), opts, plan);
@@ -82,9 +92,10 @@ bool fuzz_native_once(Rng& rng, std::uint64_t iter) {
     ok = true;
   }
   if (data != expected) {
-    std::printf("iter %llu: NATIVE SORT WRONG (n=%zu threads=%u variant=%d prune=%llu)\n",
-                static_cast<unsigned long long>(iter), n, threads,
-                static_cast<int>(opts.variant), static_cast<unsigned long long>(pr));
+    std::printf(
+        "iter %llu: NATIVE SORT WRONG (n=%zu threads=%u variant=%d phase1=%d prune=%llu)\n",
+        static_cast<unsigned long long>(iter), n, threads, static_cast<int>(opts.variant),
+        static_cast<int>(opts.phase1), static_cast<unsigned long long>(pr));
     return false;
   }
   return true;
