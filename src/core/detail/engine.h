@@ -205,6 +205,7 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   Variant effective_variant() const { return effective_variant_; }
+  std::size_t size() const { return data_.size(); }
 
   // Execute all phases as worker `tid`.  Returns false if the fault plan
   // aborted this worker ("crash"); shared state remains safe for others.
@@ -239,9 +240,10 @@ class Engine {
       crashed_.fetch_add(1, std::memory_order_acq_rel);
       return false;
     }
-    // This worker placed or pruned-as-placed every element, so the output
-    // is fully assembled: help copy it back while stragglers keep going
-    // (they only touch the node records, never the caller's buffer).
+    // This worker placed, or saw a completion flag over, every element, so
+    // the output is fully assembled: help copy it back while stragglers keep
+    // going (they only touch the node records, never the caller's buffer).
+    WFSORT_DCHECK(output().complete());
     if (tel != nullptr) tel->begin_phase(telemetry::PhaseId::kCopyBack);
     assist_copy_back();
     return true;
@@ -457,34 +459,22 @@ class Engine {
     for (std::size_t i = lo; i < hi; ++i) data_[i] = out.key(i);
   }
 
-  // --- deterministic variant (Section 2) ---
-  // `Tel` is telemetry::WorkerScratch* (recording) or std::nullptr_t; the
-  // nullptr instantiation strips every telemetry site at compile time.
-  template <typename Tel>
-  bool run_deterministic(std::uint32_t tid, runtime::FaultPlan* plan, Tel tel) {
-    constexpr bool kTel = telemetry::kTelEnabled<Tel>;
-    const auto chk = [plan, tid] { return plan == nullptr || plan->checkpoint(tid); };
+  // Drive `wat` to completion as worker `pos` of `workers`, running `job` on
+  // the index of every claimed job leaf.  `chk` is polled once per WAT node
+  // visited; returns false when a poll or a job aborts.  Callers flush their
+  // tallies after it returns.  Det phase 1, the three partition sweeps and
+  // LC stage A all run this one loop.
+  template <typename Check, typename Tel, typename Job>
+  bool drive(Wat& wat, std::uint32_t pos, std::uint32_t workers, const Check& chk,
+             Tel tel, Job&& job) {
     [[maybe_unused]] bool tel_detail = false;
-    if constexpr (kTel) tel_detail = tel->detail;
-    TreeState<Key, Compare>& st = *st_;
-    Wat& wat = *wat_;
-    const StripedJobs jobs(data_.size(), wat_batch_);
-
-    PhaseClock clock;
-    clock.start();
-    if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kBuild);
-    // Phase 1: WAT-allocated tree building, one bit-reversed stripe per
-    // claimed leaf.
-    BuildTally tally;
-    std::int64_t node = wat.initial_leaf(tid, nominal_threads_);
+    if constexpr (telemetry::kTelEnabled<Tel>) tel_detail = tel->detail;
     [[maybe_unused]] std::uint64_t wat_probes = 1;  // WAT nodes since last claim
+    std::int64_t node = wat.initial_leaf(pos, workers);
     while (true) {
-      if (!chk()) {
-        flush_build(tally);
-        return false;
-      }
+      if (!chk()) return false;
       if (wat.is_job_leaf(node)) {
-        if constexpr (kTel) {
+        if constexpr (telemetry::kTelEnabled<Tel>) {
           if (tel_detail) {
             tel->count(telemetry::Counter::kWatClaims);
             tel->count(telemetry::Counter::kWatProbes, wat_probes);
@@ -494,25 +484,45 @@ class Engine {
             wat_probes = 0;
           }
         }
-        if (!build_batch(st, jobs.stripe(wat.job_of(node)), tally, chk, tel)) {
-          flush_build(tally);
-          return false;
-        }
+        if (!job(wat.job_of(node))) return false;
       }
       node = wat.next_element(node);
-      if constexpr (kTel) {
+      if constexpr (telemetry::kTelEnabled<Tel>) {
         if (tel_detail) ++wat_probes;
       }
-      if (node == Wat::kAllJobsDone) break;
+      if (node == Wat::kAllJobsDone) return true;
     }
+  }
+
+  // --- deterministic variant (Section 2) ---
+  // `Tel` is telemetry::WorkerScratch* (recording) or std::nullptr_t; the
+  // nullptr instantiation strips every telemetry site at compile time.
+  template <typename Tel>
+  bool run_deterministic(std::uint32_t tid, runtime::FaultPlan* plan, Tel tel) {
+    constexpr bool kTel = telemetry::kTelEnabled<Tel>;
+    const auto chk = [plan, tid] { return plan == nullptr || plan->checkpoint(tid); };
+    TreeState<Key, Compare>& st = *st_;
+    const StripedJobs jobs(data_.size(), wat_batch_);
+
+    PhaseClock clock;
+    clock.start();
+    if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kBuild);
+    // Phase 1: WAT-allocated tree building, one bit-reversed stripe per
+    // claimed leaf.
+    BuildTally tally;
+    const bool built =
+        drive(*wat_, tid, nominal_threads_, chk, tel, [&](std::uint64_t j) {
+          return build_batch(st, jobs.stripe(j), tally, chk, tel);
+        });
     flush_build(tally);
+    if (!built) return false;
     clock.lap(phase1_us_);
     // Phases 2 and 3.
     if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kSum);
     if (!tree_sum(st, tid, chk)) return false;
     clock.lap(phase2_us_);
     if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kPlace);
-    if (!find_place_emit(st, tid, opts_.prune, seq_cutoff_, chk, tel)) return false;
+    if (!find_place_emit(st, tid, seq_cutoff_, chk, tel)) return false;
     clock.lap(phase3_us_);
     return true;
   }
@@ -550,40 +560,12 @@ class Engine {
         }
       }
     };
-    // Drive `wat` to completion, running `job` on every claimed leaf — the
-    // run_deterministic phase-1 loop, generalized over the job body.
-    [[maybe_unused]] std::uint64_t wat_probes = 1;
-    const auto drive = [&](Wat& wat, auto&& job) -> bool {
-      std::int64_t node = wat.initial_leaf(tid, nominal_threads_);
-      if constexpr (kTel) wat_probes = 1;
-      while (true) {
-        if (!chk()) return false;
-        if (wat.is_job_leaf(node)) {
-          if constexpr (kTel) {
-            if (tel_detail) {
-              tel->count(telemetry::Counter::kWatClaims);
-              tel->count(telemetry::Counter::kWatProbes, wat_probes);
-              tel->rep.wat_probes.add(wat_probes);
-              tel->emit(telemetry::FlightKind::kWatClaim, 0,
-                        static_cast<std::uint32_t>(wat_probes), wat.job_of(node));
-              wat_probes = 0;
-            }
-          }
-          if (!job(static_cast<std::int64_t>(wat.job_of(node)))) return false;
-        }
-        node = wat.next_element(node);
-        if constexpr (kTel) {
-          if (tel_detail) ++wat_probes;
-        }
-        if (node == Wat::kAllJobsDone) return true;
-      }
-    };
-
     PhaseClock clock;
     clock.start();
     if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kPartClassify);
+    const std::uint32_t workers = nominal_threads_;
     bool ok = partition_prepare(cmp_, ps, local, chk) &&
-              drive(ps.classify_wat, [&](std::int64_t c) {
+              drive(ps.classify_wat, tid, workers, chk, tel, [&](std::uint64_t c) {
                 return partition_classify(cmp_, ps, local, c, chk);
               });
     if (!ok) {
@@ -594,7 +576,7 @@ class Engine {
 
     if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kPartScatter);
     ok = partition_offsets(ps, local, chk) &&
-         drive(ps.scatter_wat, [&](std::int64_t c) {
+         drive(ps.scatter_wat, tid, workers, chk, tel, [&](std::uint64_t c) {
            return partition_scatter(ps, local, c, chk);
          });
     if (!ok) {
@@ -604,7 +586,7 @@ class Engine {
     clock.lap(phase2_us_);
 
     if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kPartSort);
-    ok = drive(ps.bucket_wat, [&](std::int64_t b) {
+    ok = drive(ps.bucket_wat, tid, workers, chk, tel, [&](std::uint64_t b) {
       return partition_bucket(cmp_, ps, local, b, chk);
     });
     flush();
@@ -633,42 +615,14 @@ class Engine {
     const std::uint32_t group_workers =
         std::max<std::uint32_t>(1, nominal_threads_ / lc.groups);
     TreeState<Key, Compare>& gst = lc.group_states[group];
-    Wat& gwat = lc.group_wats[group];
     const StripedJobs group_jobs(lc.slice_len, wat_batch_);
-    std::int64_t node = gwat.initial_leaf(tid / lc.groups, group_workers);
-    [[maybe_unused]] std::uint64_t wat_probes = 1;  // WAT nodes since last claim
-    while (true) {
-      if (!chk()) {
-        flush_build(tally);
-        return false;
-      }
-      if (gwat.is_job_leaf(node)) {
-        if constexpr (kTel) {
-          if (tel_detail) {
-            tel->count(telemetry::Counter::kWatClaims);
-            tel->count(telemetry::Counter::kWatProbes, wat_probes);
-            tel->rep.wat_probes.add(wat_probes);
-            tel->emit(telemetry::FlightKind::kWatClaim, 0,
-                      static_cast<std::uint32_t>(wat_probes), gwat.job_of(node));
-            wat_probes = 0;
-          }
-        }
-        if (!build_batch(gst, group_jobs.stripe(gwat.job_of(node)), tally, chk, tel)) {
-          flush_build(tally);
-          return false;
-        }
-      }
-      node = gwat.next_element(node);
-      if constexpr (kTel) {
-        if (tel_detail) ++wat_probes;
-      }
-      if (node == Wat::kAllJobsDone) break;
-    }
-    if (!tree_sum(gst, tid, chk)) {
-      flush_build(tally);
-      return false;
-    }
-    if (!find_place_emit(gst, tid, PrunePlaced::kNo, seq_cutoff_, chk, tel)) {
+    const bool presorted =
+        drive(lc.group_wats[group], tid / lc.groups, group_workers, chk, tel,
+              [&](std::uint64_t j) {
+                return build_batch(gst, group_jobs.stripe(j), tally, chk, tel);
+              }) &&
+        tree_sum(gst, tid, chk) && find_place_emit(gst, tid, seq_cutoff_, chk, tel);
+    if (!presorted) {
       flush_build(tally);
       return false;
     }

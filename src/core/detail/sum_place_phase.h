@@ -16,16 +16,12 @@
 // Pruning.  tree_sum skips a subtree when its root's size is known — safe,
 // because sizes propagate bottom-up: size > 0 implies the whole subtree is
 // summed.  Figure 6 prunes on place > 0, but places propagate TOP-DOWN, so
-// a placed subtree root says nothing about its interior; under crashes —
-// or merely under skewed phase entry — that rule either loses work or
-// serializes a whole claimed subtree onto one processor (see DESIGN.md and
-// EXPERIMENTS.md E12).  PrunePlaced selects between:
-//   kNo    — never prune: every worker re-traverses everything (always
-//            correct; O(N) per worker);
-//   kYes   — the paper's rule (fast only under faultless lockstep entry);
-//   kDone  — prune on an explicit bottom-up completion flag, giving
-//            phase-2 semantics to phase 3: crash-safe AND work-sharing.
-//            This is the default.
+// a placed subtree root says nothing about its interior: a worker pruning
+// on it can count itself complete while another still emits below (see
+// DESIGN.md and EXPERIMENTS.md E12).  find_place_emit instead prunes on an
+// explicit completion flag, set bottom-up once a whole subtree is placed:
+// phase-2 semantics for phase 3, crash-safe AND work-sharing.  It is the
+// only rule; the simulator keeps the other two (sim::PlacePrune).
 //
 // Sequential cutoff.  With `seq_cutoff > 0`, find_place_emit handles any
 // subtree of at most that many elements locally (sort_block): the subtree's
@@ -48,7 +44,6 @@
 #include "common/rng.h"
 #include "core/detail/leaf_sort.h"
 #include "core/detail/tree_state.h"
-#include "core/options.h"
 #include "telemetry/recorder.h"
 
 namespace wfsort::detail {
@@ -213,11 +208,12 @@ bool sort_block(TreeState<Key, Compare>& st, std::int64_t node, std::int64_t sub
 }
 
 // Phase 3 with output emission: place every element and store it into
-// st.out at its final rank.  Subtrees of at most `seq_cutoff` elements are
-// handled by sort_block (0 disables the cutoff).
+// st.out at its final rank, pruning subtrees whose completion flag is set.
+// Subtrees of at most `seq_cutoff` elements are handled by sort_block (0
+// disables the cutoff).
 template <typename Key, typename Compare, typename Check,
           typename Tel = std::nullptr_t>
-bool find_place_emit(TreeState<Key, Compare>& st, std::uint32_t pid, PrunePlaced prune,
+bool find_place_emit(TreeState<Key, Compare>& st, std::uint32_t pid,
                      std::uint64_t seq_cutoff, Check&& keep_going, Tel tel = nullptr) {
   constexpr bool kTel = telemetry::kTelEnabled<Tel>;
   if (st.n() == 0) return true;
@@ -248,16 +244,12 @@ bool find_place_emit(TreeState<Key, Compare>& st, std::uint32_t pid, PrunePlaced
   while (!stack.empty()) {
     if (!keep_going()) return false;
     const Frame f = stack.back();
-    if (f.stage == 1) {  // kDone post-frame: whole subtree below is placed
+    if (f.stage == 1) {  // post-frame: whole subtree below is placed
       st.mark_place_done(f.node);
       stack.pop_back();
       continue;
     }
-    if (prune == PrunePlaced::kYes && st.place_of(f.node) > 0) {
-      stack.pop_back();
-      continue;
-    }
-    if (prune == PrunePlaced::kDone && st.place_done_of(f.node)) {
+    if (st.place_done_of(f.node)) {
       stack.pop_back();
       continue;
     }
@@ -268,9 +260,8 @@ bool find_place_emit(TreeState<Key, Compare>& st, std::uint32_t pid, PrunePlaced
       if (!sort_block(st, f.node, f.sub, items, scratch, lt, keep_going)) {
         return false;
       }
+      [[maybe_unused]] const bool claimed = st.try_claim_place_done(f.node);
       if constexpr (kTel) {
-        bool claimed = true;
-        if (prune == PrunePlaced::kDone) claimed = st.try_claim_place_done(f.node);
         if (tel != nullptr && tel->detail) {
           tel->count(telemetry::Counter::kSeqBlocks);
           tel->count(telemetry::Counter::kSeqBlockElems,
@@ -288,8 +279,6 @@ bool find_place_emit(TreeState<Key, Compare>& st, std::uint32_t pid, PrunePlaced
                     static_cast<std::uint32_t>(st.size_of(f.node)),
                     static_cast<std::uint64_t>(f.node));
         }
-      } else {
-        if (prune == PrunePlaced::kDone) st.try_claim_place_done(f.node);
       }
       stack.pop_back();
       continue;
@@ -301,15 +290,11 @@ bool find_place_emit(TreeState<Key, Compare>& st, std::uint32_t pid, PrunePlaced
     st.emit(f.node, f.sub + s + 1);
 
     if (small == kNoIdx && big == kNoIdx) {  // leaf fast path (cutoff disabled)
-      if (prune == PrunePlaced::kDone) st.mark_place_done(f.node);
+      st.mark_place_done(f.node);
       stack.pop_back();
       continue;
     }
-    if (prune == PrunePlaced::kDone) {
-      stack.back().stage = 1;  // revisit after the children to mark done
-    } else {
-      stack.pop_back();
-    }
+    stack.back().stage = 1;  // revisit after the children to mark done
     const Frame fs{small, f.sub, f.depth + 1, 0};
     const Frame fb{big, f.sub + s + 1, f.depth + 1, 0};
     // LIFO stack: push the child to be visited *second* first; absent

@@ -45,7 +45,7 @@ struct alignas(64) PackedNode {
   std::atomic<std::int64_t> size;           // 0 = unknown
   std::atomic<std::int64_t> place;          // 0 = unknown, else 1-based rank
   Key key;                                  // immutable copy, set before workers start
-  std::atomic<std::uint8_t> place_done;     // PrunePlaced::kDone flag
+  std::atomic<std::uint8_t> place_done;     // phase-3 completion flag
 };
 
 template <typename Key, typename Compare>

@@ -1,4 +1,9 @@
 // Public configuration and statistics types of the wait-free sorter.
+//
+// No Options combination may return a wrong answer, so phase 3's pruning
+// rule is not a knob: the native engine always prunes on the bottom-up
+// completion flag (sum_place_phase.h).  The paper's place > 0 rule lives on
+// only in the simulator (sim::PlacePrune), for E12a and `wfsort hunt`.
 #pragma once
 
 #include <cstdint>
@@ -20,16 +25,6 @@ enum class Variant {
   // randomized summation/placement.  O(sqrt P) contention w.h.p.
   kLowContention,
 };
-
-// How phase 3 skips subtrees other workers already handled.  Figure 6
-// prunes when the subtree root's place is set (kYes), but place propagates
-// top-down, so the rule is only sound under faultless lockstep entry — a
-// crash (or mere phase-entry skew) strands or serializes the claimed
-// subtree.  kNo never prunes (every worker re-traverses everything,
-// trivially safe).  kDone — the default — prunes on an explicit bottom-up
-// completion flag instead, which is crash-safe AND lets workers share the
-// remaining work; bench fig_e12 quantifies all three.
-enum class PrunePlaced { kNo, kYes, kDone };
 
 // How the deterministic variant turns the unsorted input into placeable
 // structure (phase 1).
@@ -58,7 +53,6 @@ enum class Phase1 { kTree, kPartition };
 struct Options {
   std::uint32_t threads = 0;  // 0 = std::thread::hardware_concurrency()
   Variant variant = Variant::kDeterministic;
-  PrunePlaced prune = PrunePlaced::kDone;
   Phase1 phase1 = Phase1::kTree;
   std::uint64_t seed = 0x50535a97ULL;  // randomized-variant randomness
 

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <chrono>
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <span>
@@ -27,33 +28,62 @@
 
 namespace wfsort {
 
+namespace detail {
+
+// The one thread driver of the one-shot entry points: run `workers` workers
+// (tids 0..workers-1) over `engine` under `plan` and join them.  One worker,
+// or an input with nothing to sort, runs inline on the caller.  `Plan` is
+// runtime::FaultPlan* or std::nullptr_t; like the telemetry nullptr, the
+// latter lets the compiler drop every fault checkpoint of a fault-free run.
+template <typename T, typename Compare, typename Plan = std::nullptr_t>
+void run_workers(Engine<T, Compare>& engine, std::uint32_t workers,
+                 Plan plan = nullptr) {
+  if (workers <= 1 || engine.size() <= 1) {
+    engine.run_worker(0, plan);
+    return;
+  }
+  std::vector<std::jthread> threads;  // joined on return
+  threads.reserve(workers);
+  for (std::uint32_t tid = 0; tid < workers; ++tid) {
+    threads.emplace_back([&engine, tid, plan] { engine.run_worker(tid, plan); });
+  }
+}
+
+// The one-shot run behind sort and sort_with_faults: build the engine, run
+// the workers under `plan` (a FaultPlan*, or nullptr for no faults) and
+// deliver the output if some worker completed.  Returns whether one did.
+template <typename T, typename Compare, typename Plan>
+bool sort_run(std::span<T> data, const Options& opts, Plan plan, SortStats* stats,
+              Compare cmp) {
+  // With telemetry off there is no Recorder, hence no monitor: skip the
+  // clock read and the monitor plumbing entirely on the untraced path.
+  const bool monitored = monitor_wanted(opts);
+  const auto t_start = monitored ? std::chrono::steady_clock::now()
+                                 : std::chrono::steady_clock::time_point{};
+  Engine<T, Compare> engine(data, cmp, opts);
+  auto monitor =
+      monitored ? make_monitor(engine.recorder(), opts, data.size()) : nullptr;
+  run_workers(engine, opts.resolved_threads(), plan);
+  const bool ok = engine.result_ready();
+  if (ok) {
+    engine.finalize();
+  } else {
+    // No finalize on failure, but the partial telemetry timeline (truncated
+    // spans of the crashed workers) is still wanted by the fault tooling.
+    engine.snapshot_telemetry();
+  }
+  finish_monitor(monitor.get(), t_start);
+  if (stats != nullptr) *stats = engine.stats();
+  return ok;
+}
+
+}  // namespace detail
+
 // Sort `data` in place.  `stats`, if given, receives per-run diagnostics.
 template <typename T, typename Compare = std::less<T>>
 void sort(std::span<T> data, const Options& opts = {}, SortStats* stats = nullptr,
           Compare cmp = Compare{}) {
-  // With telemetry off there is no Recorder, hence no monitor: skip the
-  // clock read and the monitor plumbing entirely on the untraced path.
-  const bool monitored = detail::monitor_wanted(opts);
-  const auto t_start = monitored ? std::chrono::steady_clock::now()
-                                 : std::chrono::steady_clock::time_point{};
-  detail::Engine<T, Compare> engine(data, cmp, opts);
-  auto monitor =
-      monitored ? detail::make_monitor(engine.recorder(), opts, data.size())
-                : nullptr;
-  const std::uint32_t workers = opts.resolved_threads();
-  if (workers <= 1 || data.size() <= 1) {
-    engine.run_worker(0);
-  } else {
-    std::vector<std::jthread> threads;
-    threads.reserve(workers);
-    for (std::uint32_t tid = 0; tid < workers; ++tid) {
-      threads.emplace_back([&engine, tid] { engine.run_worker(tid); });
-    }
-    threads.clear();  // join
-  }
-  engine.finalize();
-  detail::finish_monitor(monitor.get(), t_start);
-  if (stats != nullptr) *stats = engine.stats();
+  detail::sort_run(data, opts, nullptr, stats, cmp);
 }
 
 // Sort under a fault plan (crashes / page-fault sleeps injected into chosen
@@ -63,32 +93,7 @@ void sort(std::span<T> data, const Options& opts = {}, SortStats* stats = nullpt
 template <typename T, typename Compare = std::less<T>>
 bool sort_with_faults(std::span<T> data, const Options& opts, runtime::FaultPlan& plan,
                       SortStats* stats = nullptr, Compare cmp = Compare{}) {
-  const bool monitored = detail::monitor_wanted(opts);
-  const auto t_start = monitored ? std::chrono::steady_clock::now()
-                                 : std::chrono::steady_clock::time_point{};
-  detail::Engine<T, Compare> engine(data, cmp, opts);
-  auto monitor =
-      monitored ? detail::make_monitor(engine.recorder(), opts, data.size())
-                : nullptr;
-  const std::uint32_t workers = opts.resolved_threads();
-  {
-    std::vector<std::jthread> threads;
-    threads.reserve(workers);
-    for (std::uint32_t tid = 0; tid < workers; ++tid) {
-      threads.emplace_back([&engine, tid, &plan] { engine.run_worker(tid, &plan); });
-    }
-  }  // join
-  const bool ok = engine.result_ready();
-  detail::finish_monitor(monitor.get(), t_start);
-  if (ok) {
-    engine.finalize();
-  } else {
-    // No finalize on failure, but the partial telemetry timeline (truncated
-    // spans of the crashed workers) is still wanted by the fault tooling.
-    engine.snapshot_telemetry();
-  }
-  if (stats != nullptr) *stats = engine.stats();
-  return ok;
+  return detail::sort_run(data, opts, &plan, stats, cmp);
 }
 
 // Compute the sorting permutation without moving the data: perm[rank] is
@@ -110,16 +115,7 @@ std::vector<std::uint32_t> sort_permutation(std::span<const T> data,
   std::span<T> mutable_view(const_cast<T*>(data.data()), data.size());
   detail::Engine<T, Compare> engine(mutable_view, cmp, opts,
                                     /*assemble_into_data=*/false);
-  const std::uint32_t workers = opts.resolved_threads();
-  if (workers <= 1) {
-    engine.run_worker(0);
-  } else {
-    std::vector<std::jthread> threads;
-    threads.reserve(workers);
-    for (std::uint32_t tid = 0; tid < workers; ++tid) {
-      threads.emplace_back([&engine, tid] { engine.run_worker(tid); });
-    }
-  }
+  detail::run_workers(engine, opts.resolved_threads());
   WFSORT_CHECK(engine.result_ready());
   engine.output().permutation(perm);
   return perm;

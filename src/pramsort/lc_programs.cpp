@@ -204,14 +204,18 @@ pram::SubTask<void> lc_place_prog(pram::Ctx& ctx, const LcSortLayout& l, std::ui
       continue;
     }
 
+    // Every placement stores the key at its output slot BEFORE the place:
+    // `place > 0` is what tells later probes the element is done, so a
+    // processor that crashed between the two writes must leave the place
+    // unset for someone else to redo both (the native TreeState::emit order).
     pram::Word pl = co_await ctx.read(l.main.place_addr(e));
     if (e == root && pl == 0) {
       pram::Word s = 0;
       if (k.small != pram::kEmpty) s = co_await ctx.read(l.main.size_addr(k.small));
       pl = s + 1;
-      co_await ctx.write(l.main.place_addr(e), pl);
       const pram::Word key = co_await ctx.read(l.main.key_addr(e));
       co_await ctx.write(l.main.out_addr(pl - 1), key);
+      co_await ctx.write(l.main.place_addr(e), pl);
     }
 
     if (pl > 0) {
@@ -223,9 +227,9 @@ pram::SubTask<void> lc_place_prog(pram::Ctx& ctx, const LcSortLayout& l, std::ui
           pram::Word sz = 0;
           if (gk.big != pram::kEmpty) sz = co_await ctx.read(l.main.size_addr(gk.big));
           const pram::Word npl = pl - sz - 1;
-          co_await ctx.write(l.main.place_addr(k.small), npl);
           const pram::Word key = co_await ctx.read(l.main.key_addr(k.small));
           co_await ctx.write(l.main.out_addr(npl - 1), key);
+          co_await ctx.write(l.main.place_addr(k.small), npl);
         }
       }
       if (k.big != pram::kEmpty) {
@@ -235,9 +239,9 @@ pram::SubTask<void> lc_place_prog(pram::Ctx& ctx, const LcSortLayout& l, std::ui
           pram::Word sz = 0;
           if (gk.small != pram::kEmpty) sz = co_await ctx.read(l.main.size_addr(gk.small));
           const pram::Word npl = pl + sz + 1;
-          co_await ctx.write(l.main.place_addr(k.big), npl);
           const pram::Word key = co_await ctx.read(l.main.key_addr(k.big));
           co_await ctx.write(l.main.out_addr(npl - 1), key);
+          co_await ctx.write(l.main.place_addr(k.big), npl);
         }
       }
       // Upward rule: announce DONE once placed and children announced.

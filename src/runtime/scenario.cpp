@@ -89,17 +89,6 @@ bool sorted_matches(std::span<const pram::Word> keys, const std::vector<pram::Wo
   return out == expected;
 }
 
-// The native prune knob is the sim knob's public twin; artifacts use the sim
-// spelling for both substrates.
-PrunePlaced to_native_prune(sim::PlacePrune p) {
-  switch (p) {
-    case sim::PlacePrune::kNone: return PrunePlaced::kNo;
-    case sim::PlacePrune::kPlaced: return PrunePlaced::kYes;
-    case sim::PlacePrune::kCompleted: return PrunePlaced::kDone;
-  }
-  return PrunePlaced::kDone;
-}
-
 // Events retained per kill victim in a failure artifact's post-mortem ring:
 // enough to see the victim's final claims and descents, small enough that a
 // multi-kill artifact stays readable.
@@ -311,7 +300,6 @@ ScenarioResult run_native_scenario(const ScenarioSpec& spec) {
   Options opts;
   opts.threads = spec.procs;
   opts.variant = spec.variant == SortKind::kLc ? Variant::kLowContention : Variant::kDeterministic;
-  opts.prune = to_native_prune(spec.prune);
   opts.phase1 = spec.phase1 == Phase1Kind::kPartition ? Phase1::kPartition
                                                       : Phase1::kTree;
   opts.seed = spec.sort_seed;
@@ -404,8 +392,19 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
   if (!verr.empty()) {
     WFSORT_CHECK(false && "invalid fault script passed to run_scenario");
   }
+  WFSORT_CHECK(native_spec_error(spec).empty());
   return spec.substrate == Substrate::kSim ? run_sim_scenario(spec)
                                            : run_native_scenario(spec);
+}
+
+std::string native_spec_error(const ScenarioSpec& spec) {
+  if (spec.substrate != Substrate::kNative ||
+      spec.prune == sim::PlacePrune::kCompleted) {
+    return "";
+  }
+  return std::string("the native engine has one phase-3 rule (prune=completed); "
+                     "prune=") +
+         prune_name(spec.prune) + " runs only on the simulator";
 }
 
 Json spec_to_json(const ScenarioSpec& spec) {
@@ -493,6 +492,7 @@ bool spec_from_json(const Json& j, ScenarioSpec* out, std::string* error) {
   spec.oracle_period = u64_field("oracle_period", spec.oracle_period);
   spec.own_step_bound = u64_field("own_step_bound", spec.own_step_bound);
 
+  if (std::string nerr = native_spec_error(spec); !nerr.empty()) return fail(nerr);
   if (!spec.script.concrete()) return fail("artifact scripts must be concrete (round triggers)");
   const std::string verr = spec.script.validate(spec.procs);
   if (!verr.empty()) return fail("invalid script: " + verr);

@@ -42,6 +42,8 @@ struct ScenarioSpec {
   // Crew and variant.
   std::uint32_t procs = 16;  // simulator processors / native worker threads
   SortKind variant = SortKind::kDet;
+  // Phase-3 pruning rule.  The simulator runs all three; the native engine
+  // has one rule, kCompleted (native_spec_error).
   sim::PlacePrune prune = sim::PlacePrune::kCompleted;
   bool random_first = false;
   Phase1Kind phase1 = Phase1Kind::kTree;
@@ -117,9 +119,15 @@ struct ScenarioResult {
 // fully-serial schedule with every scripted crash, far below "hung forever".
 std::uint64_t default_round_cap(const ScenarioSpec& spec);
 
+// Why the native engine cannot run `spec`, or "" if it can (sim specs
+// always can).  The native engine prunes phase 3 one way only, on the
+// bottom-up completion flag: a native spec must ask for kCompleted.
+std::string native_spec_error(const ScenarioSpec& spec);
+
 // Execute the scenario and judge it.  The spec's script must be concrete and
-// valid for its crew (WFSORT_CHECK enforced) — use FaultScript::validate
-// before calling on untrusted input.
+// valid for its crew, and a native spec must pass native_spec_error
+// (WFSORT_CHECK enforced) — use FaultScript::validate before calling on
+// untrusted input.
 ScenarioResult run_scenario(const ScenarioSpec& spec);
 
 // ---- Failure artifacts ----

@@ -9,15 +9,6 @@
 namespace wfsort::telemetry {
 namespace {
 
-const char* prune_name(PrunePlaced prune) {
-  switch (prune) {
-    case PrunePlaced::kNo: return "no";
-    case PrunePlaced::kYes: return "yes";
-    case PrunePlaced::kDone: return "done";
-  }
-  return "?";
-}
-
 const char* phase1_name(Phase1 phase1) {
   switch (phase1) {
     case Phase1::kTree: return "tree";
@@ -114,7 +105,6 @@ NativeRunInfo native_run_info(const Options& opts, std::uint64_t n) {
   info.wat_batch = opts.wat_batch;
   info.seq_cutoff = opts.seq_cutoff;
   info.lc_copies = opts.lc_copies;
-  info.prune = prune_name(opts.prune);
   info.phase1 = phase1_name(opts.phase1);
   info.level = opts.telemetry;
   return info;
@@ -175,7 +165,6 @@ Json native_stats_json(const NativeRunInfo& info, const SortStats& stats) {
   config.set("wat_batch", static_cast<std::uint64_t>(info.wat_batch));
   config.set("seq_cutoff", info.seq_cutoff);
   config.set("lc_copies", static_cast<std::uint64_t>(info.lc_copies));
-  config.set("prune", info.prune);
   config.set("phase1", info.phase1);
   config.set("telemetry",
              level_name(rep != nullptr ? rep->level : info.level));

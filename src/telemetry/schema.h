@@ -54,7 +54,6 @@ struct NativeRunInfo {
   std::uint32_t wat_batch = 0;
   std::uint64_t seq_cutoff = 0;
   std::uint32_t lc_copies = 0;
-  std::string prune;   // "no" | "yes" | "done"
   std::string phase1;  // "tree" | "partition"
   Level level = Level::kOff;
 };

@@ -355,6 +355,55 @@ TEST(Scenario, SpecJsonRoundTrip) {
   EXPECT_NE(error.find("invalid script"), std::string::npos) << error;
 }
 
+TEST(Scenario, NativeSpecWithoutCompletedPruneIsRejected) {
+  // The native engine has one phase-3 rule; a native artifact asking for
+  // another must fail to load, not run silently under the one rule.
+  rt::ScenarioSpec spec = small_det_spec();
+  spec.substrate = rt::Substrate::kNative;
+  rt::ScenarioSpec back;
+  std::string error;
+  ASSERT_TRUE(rt::spec_from_json(rt::spec_to_json(spec), &back, &error)) << error;
+  EXPECT_TRUE(rt::native_spec_error(back).empty());
+  for (const auto prune : {wfsort::sim::PlacePrune::kNone, wfsort::sim::PlacePrune::kPlaced}) {
+    spec.prune = prune;
+    error.clear();
+    EXPECT_FALSE(rt::spec_from_json(rt::spec_to_json(spec), &back, &error));
+    EXPECT_NE(error.find("one phase-3 rule"), std::string::npos) << error;
+    EXPECT_EQ(rt::native_spec_error(spec), error);
+    // The simulator keeps all three rules.
+    spec.substrate = rt::Substrate::kSim;
+    EXPECT_TRUE(rt::spec_from_json(rt::spec_to_json(spec), &back, &error)) << error;
+    spec.substrate = rt::Substrate::kNative;
+  }
+}
+
+TEST(Scenario, LcSimPlacementSurvivesAKillBetweenItsWrites) {
+  // A fuzz_sort find (seed 6, iteration 974).  The simulator's LC placement
+  // wrote a child's place before its output slot; a processor killed
+  // between the two left the slot unwritten for good, because every later
+  // probe saw place > 0 and skipped the child.  The slot is now written
+  // first.  Every processor is killed at every round around the window.
+  rt::ScenarioSpec spec;
+  spec.substrate = rt::Substrate::kSim;
+  spec.n = 61;
+  spec.dist = wfsort::exp::Dist::kFewDistinct;
+  spec.workload_seed = 8299479635029064869ULL;
+  spec.procs = 12;
+  spec.variant = rt::SortKind::kLc;
+  spec.random_first = true;
+  spec.machine_seed = 9294872931742688451ULL;
+  spec.sort_seed = 1347639959;
+  spec.oracle_period = 0;
+  for (std::uint32_t target = 0; target < spec.procs; ++target) {
+    for (std::uint64_t at = 710; at <= 730; ++at) {
+      spec.script = rt::FaultScript{}.add({.target = target, .at = at});
+      const rt::ScenarioResult res = rt::run_scenario(spec);
+      EXPECT_TRUE(res.ok()) << "kill " << target << " at " << at << ": "
+                            << rt::failure_kind_name(res.failure) << ": " << res.detail;
+    }
+  }
+}
+
 // ------------------------------------------------------------------ probe
 
 TEST(Probe, LandmarksAreOrderedAndPresent) {

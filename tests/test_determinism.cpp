@@ -138,8 +138,8 @@ constexpr RunFingerprint kDetRoundRobin = {1819ULL, 5453ULL, 3ULL, 2082ULL, 5453
                                            0xcb3354741931f829ULL};
 constexpr RunFingerprint kDetHalfFreeze = {401ULL, 9410ULL, 24ULL, 1700ULL, 9410ULL,
                                            0x931156cdbad4b695ULL};
-constexpr RunFingerprint kLcSync = {790ULL, 67108ULL, 23ULL, 2719ULL, 67108ULL,
-                                    0x116e149013b09f7dULL};
+constexpr RunFingerprint kLcSync = {773ULL, 70098ULL, 23ULL, 2755ULL, 70098ULL,
+                                    0x45cec530dfa092d4ULL};
 
 TEST(Determinism, DetSortSynchronousCrcwMatchesGolden) {
   for (std::uint32_t t : kThreadSweep) {

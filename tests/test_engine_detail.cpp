@@ -1,13 +1,16 @@
 // White-box unit tests of the native engine's building blocks: TreeState,
 // build_from/build_one, tree_sum, find_place_emit and the LC probing phases
 // — exercised directly on small hand-built trees, where every expected
-// value can be stated explicitly.
+// value can be stated explicitly — plus the Engine's completion contract
+// under real threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/arena.h"
@@ -15,6 +18,7 @@
 #include "common/rng.h"
 #include "common/simd.h"
 #include "core/detail/build_phase.h"
+#include "core/detail/engine.h"
 #include "core/detail/lc_phase.h"
 #include "core/detail/leaf_sort.h"
 #include "core/detail/partition_phase.h"
@@ -122,42 +126,33 @@ TEST(TreeStateDetail, TreeSumSkipsSummedSubtrees) {
 }
 
 TEST(TreeStateDetail, FindPlaceEmitProducesRanksAndOutput) {
-  std::vector<std::uint64_t> keys{50, 30, 70, 20, 40};
-  auto st = build_sequential(keys);
+  auto st = build_sequential({50, 30, 70, 20, 40});
   ASSERT_TRUE(wfsort::detail::tree_sum(*st, 0, kKeepGoing));
-  for (auto prune : {wfsort::PrunePlaced::kNo, wfsort::PrunePlaced::kYes,
-                     wfsort::PrunePlaced::kDone}) {
-    auto st2 = build_sequential(keys);
-    ASSERT_TRUE(wfsort::detail::tree_sum(*st2, 0, kKeepGoing));
-    ASSERT_TRUE(wfsort::detail::find_place_emit(*st2, 0, prune, /*seq_cutoff=*/0,
-                                                kKeepGoing));
-    EXPECT_EQ(st2->place_of(0), 4);  // 50 is 4th of {20,30,40,50,70}
-    EXPECT_EQ(st2->place_of(1), 2);
-    EXPECT_EQ(st2->place_of(2), 5);
-    EXPECT_EQ(st2->place_of(3), 1);
-    EXPECT_EQ(st2->place_of(4), 3);
-    const std::uint64_t expected[] = {20, 30, 40, 50, 70};
-    for (int i = 0; i < 5; ++i) {
-      EXPECT_EQ(st2->out[static_cast<std::size_t>(i)].load(), expected[i]);
-    }
+  ASSERT_TRUE(wfsort::detail::find_place_emit(*st, 0, /*seq_cutoff=*/0, kKeepGoing));
+  EXPECT_EQ(st->place_of(0), 4);  // 50 is 4th of {20,30,40,50,70}
+  EXPECT_EQ(st->place_of(1), 2);
+  EXPECT_EQ(st->place_of(2), 5);
+  EXPECT_EQ(st->place_of(3), 1);
+  EXPECT_EQ(st->place_of(4), 3);
+  const std::uint64_t expected[] = {20, 30, 40, 50, 70};
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(st->out[static_cast<std::size_t>(i)].load(), expected[i]);
   }
 }
 
 TEST(TreeStateDetail, FindPlaceDoneSetsCompletionFlagsBottomUp) {
   auto st = build_sequential({50, 30, 70});
   ASSERT_TRUE(wfsort::detail::tree_sum(*st, 0, kKeepGoing));
-  ASSERT_TRUE(wfsort::detail::find_place_emit(*st, 0, wfsort::PrunePlaced::kDone,
-                                              /*seq_cutoff=*/0, kKeepGoing));
+  ASSERT_TRUE(wfsort::detail::find_place_emit(*st, 0, /*seq_cutoff=*/0, kKeepGoing));
   for (int i = 0; i < 3; ++i) {
     EXPECT_TRUE(st->place_done_of(i)) << i;
   }
   // A second worker prunes at the root immediately (1 flag read, no writes).
   std::uint64_t checks = 0;
-  ASSERT_TRUE(wfsort::detail::find_place_emit(*st, 1, wfsort::PrunePlaced::kDone,
-                                              /*seq_cutoff=*/0, [&checks] {
-                                                ++checks;
-                                                return true;
-                                              }));
+  ASSERT_TRUE(wfsort::detail::find_place_emit(*st, 1, /*seq_cutoff=*/0, [&checks] {
+    ++checks;
+    return true;
+  }));
   EXPECT_EQ(checks, 1u);
 }
 
@@ -167,8 +162,7 @@ TEST(TreeStateDetail, AbortedTraversalsReturnFalse) {
   auto limited = [&budget] { return budget-- > 0; };
   EXPECT_FALSE(wfsort::detail::tree_sum(*st, 0, limited));
   budget = 2;
-  EXPECT_FALSE(wfsort::detail::find_place_emit(*st, 0, wfsort::PrunePlaced::kNo,
-                                               /*seq_cutoff=*/0, limited));
+  EXPECT_FALSE(wfsort::detail::find_place_emit(*st, 0, /*seq_cutoff=*/0, limited));
 }
 
 TEST(TreeStateDetail, PlaceBlockEmitsConsecutiveRanksFromOffset) {
@@ -195,12 +189,10 @@ TEST(TreeStateDetail, SeqCutoffMatchesFrameMachinery) {
   for (std::uint64_t cutoff : {std::uint64_t{2}, std::uint64_t{4}, std::uint64_t{100}}) {
     auto ref = build_sequential(keys);
     ASSERT_TRUE(wfsort::detail::tree_sum(*ref, 0, kKeepGoing));
-    ASSERT_TRUE(wfsort::detail::find_place_emit(*ref, 0, wfsort::PrunePlaced::kNo,
-                                                /*seq_cutoff=*/0, kKeepGoing));
+    ASSERT_TRUE(wfsort::detail::find_place_emit(*ref, 0, /*seq_cutoff=*/0, kKeepGoing));
     auto st = build_sequential(keys);
     ASSERT_TRUE(wfsort::detail::tree_sum(*st, 0, kKeepGoing));
-    ASSERT_TRUE(wfsort::detail::find_place_emit(*st, 0, wfsort::PrunePlaced::kDone,
-                                                cutoff, kKeepGoing));
+    ASSERT_TRUE(wfsort::detail::find_place_emit(*st, 0, cutoff, kKeepGoing));
     for (std::int64_t i = 0; i < st->n(); ++i) {
       EXPECT_EQ(st->place_of(i), ref->place_of(i)) << "cutoff=" << cutoff << " i=" << i;
     }
@@ -210,11 +202,10 @@ TEST(TreeStateDetail, SeqCutoffMatchesFrameMachinery) {
     // A second worker prunes at the root in one check: the block roots'
     // completion flags were published after their walks.
     std::uint64_t checks = 0;
-    ASSERT_TRUE(wfsort::detail::find_place_emit(*st, 1, wfsort::PrunePlaced::kDone,
-                                                cutoff, [&checks] {
-                                                  ++checks;
-                                                  return true;
-                                                }));
+    ASSERT_TRUE(wfsort::detail::find_place_emit(*st, 1, cutoff, [&checks] {
+      ++checks;
+      return true;
+    }));
     EXPECT_EQ(checks, 1u) << "cutoff=" << cutoff;
   }
 }
@@ -225,13 +216,11 @@ TEST(TreeStateDetail, SeqCutoffCrashedBlockWalkerIsRedoneByNextWorker) {
   // Worker 0 crashes mid-walk: the cutoff covers the whole tree, so it dies
   // inside one block and must NOT have published the completion flag.
   int budget = 3;
-  EXPECT_FALSE(wfsort::detail::find_place_emit(*st, 0, wfsort::PrunePlaced::kDone,
-                                               /*seq_cutoff=*/100,
+  EXPECT_FALSE(wfsort::detail::find_place_emit(*st, 0, /*seq_cutoff=*/100,
                                                [&budget] { return budget-- > 0; }));
   EXPECT_FALSE(st->place_done_of(st->root_idx()));
   // Worker 1 redoes the block idempotently and completes everything.
-  ASSERT_TRUE(wfsort::detail::find_place_emit(*st, 1, wfsort::PrunePlaced::kDone,
-                                              /*seq_cutoff=*/100, kKeepGoing));
+  ASSERT_TRUE(wfsort::detail::find_place_emit(*st, 1, /*seq_cutoff=*/100, kKeepGoing));
   EXPECT_TRUE(st->all_placed());
   EXPECT_TRUE(st->place_done_of(st->root_idx()));
   const std::uint64_t expected[] = {20, 30, 40, 50, 60, 70, 80};
@@ -778,10 +767,59 @@ TEST(TreeStateDetail, AllPlacedAndMeasureDepth) {
   auto st = build_sequential({3, 1, 2});
   EXPECT_FALSE(st->all_placed());
   ASSERT_TRUE(wfsort::detail::tree_sum(*st, 0, kKeepGoing));
-  ASSERT_TRUE(wfsort::detail::find_place_emit(*st, 0, wfsort::PrunePlaced::kNo,
-                                              /*seq_cutoff=*/0, kKeepGoing));
+  ASSERT_TRUE(wfsort::detail::find_place_emit(*st, 0, /*seq_cutoff=*/0, kKeepGoing));
   EXPECT_TRUE(st->all_placed());
   EXPECT_EQ(st->measure_depth(), 3u);  // 3 -> 1 -> 2 chain
+}
+
+// ------------------------------------------------------ completion contract
+
+// run_worker returning true is a promise that the output is fully assembled
+// at that moment, not only once the crew joins: assist_copy_back starts
+// streaming it straight away.  Eight real threads per run on every
+// configuration; each checks Output::complete() the instant its own
+// run_worker returns, before the join.
+TEST(CompletionContract, EveryReturningWorkerSeesTheWholeOutput) {
+  using Engine = wfsort::detail::Engine<std::uint64_t, std::less<std::uint64_t>>;
+  constexpr std::uint32_t kThreads = 8;
+  const struct {
+    const char* name;
+    wfsort::Options opts;
+  } configs[] = {
+      {"det-tree", {.threads = kThreads}},
+      {"det-partition", {.threads = kThreads, .phase1 = wfsort::Phase1::kPartition}},
+      {"lc", {.threads = kThreads, .variant = wfsort::Variant::kLowContention}},
+  };
+  for (const auto& c : configs) {
+    for (const std::size_t n : {std::size_t{2048}, std::size_t{20000}}) {
+      for (std::uint64_t rep = 0; rep < 25; ++rep) {
+        wfsort::Rng rng(n * 1000 + rep);
+        std::vector<std::uint64_t> v(n);
+        for (auto& x : v) x = rng.next() % (2 * n);  // some duplicates
+        std::vector<std::uint64_t> expected = v;
+        std::sort(expected.begin(), expected.end());
+        Engine engine(std::span<std::uint64_t>(v), {}, c.opts);
+        std::atomic<std::uint32_t> completed{0};
+        std::atomic<std::uint32_t> incomplete{0};
+        {
+          std::vector<std::jthread> threads;
+          for (std::uint32_t tid = 0; tid < kThreads; ++tid) {
+            threads.emplace_back([&, tid] {
+              if (!engine.run_worker(tid)) return;
+              if (!engine.output().complete()) incomplete.fetch_add(1);
+              completed.fetch_add(1);
+            });
+          }
+        }
+        const std::string where =
+            std::string(c.name) + " n=" + std::to_string(n) + " rep=" + std::to_string(rep);
+        EXPECT_EQ(completed.load(), kThreads) << where;
+        EXPECT_EQ(incomplete.load(), 0u) << where;
+        engine.finalize();
+        EXPECT_EQ(v, expected) << where;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -84,7 +84,6 @@ namespace {
 using wfsort::Options;
 using wfsort::Phase1;
 using wfsort::PoolStats;
-using wfsort::PrunePlaced;
 using wfsort::SortPool;
 using wfsort::SortStats;
 using wfsort::Variant;
@@ -167,7 +166,6 @@ TEST(SortPoolGolden, NonDefaultKnobsAndKnobChangesBetweenRuns) {
   Options tuned_det = det_tree_opts();
   tuned_det.wat_batch = 8;
   tuned_det.seq_cutoff = 32;
-  tuned_det.prune = PrunePlaced::kNo;
 
   Options tuned_lc = lc_opts();
   tuned_lc.lc_burst = 16;

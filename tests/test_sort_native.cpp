@@ -22,7 +22,6 @@ namespace {
 
 using wfsort::Options;
 using wfsort::Phase1;
-using wfsort::PrunePlaced;
 using wfsort::Rng;
 using wfsort::SortStats;
 using wfsort::Variant;
@@ -412,16 +411,6 @@ TEST(SortNative, LowContentionCopiesKnob) {
   }
 }
 
-TEST(SortNative, PrunePlacedYesFaultlessIsCorrect) {
-  for (std::uint32_t t : {1u, 4u}) {
-    auto v = make_workload(Workload::kRandom, 2048, 33);
-    auto orig = v;
-    wfsort::sort(std::span<std::uint64_t>(v),
-                 Options{.threads = t, .prune = PrunePlaced::kYes});
-    expect_sorted_permutation(orig, v, "prune t=" + std::to_string(t));
-  }
-}
-
 // ------------------------------------------------------------ tree depth
 
 // The det-tree phase 1 inserts bit-reversed stripes (StripedJobs), so no
@@ -736,12 +725,11 @@ TEST(SortFaults, SuspendAndReviveLcAtNonDefaultKnobs) {
   }
 }
 
-TEST(SortFaults, PrunePlacedYesWithCrashesCanLoseWork) {
-  // Documentation-by-test of the design note: with PrunePlaced::kYes the
-  // survivor may (depending on timing) observe a placed-but-unfinished
-  // subtree.  We do not assert failure — the race is timing-dependent — but
-  // we DO assert that the default policy (kNo) never fails in 20 attempts
-  // with the same aggressive crash pattern.
+TEST(SortFaults, MidPhase3CrashesNeverLoseWork) {
+  // Three of four workers die around phase 3, where Figure 6's place > 0
+  // rule would let the survivor prune a placed-but-unfinished subtree.  The
+  // engine prunes on the bottom-up completion flag instead, so the survivor
+  // must finish every crashed worker's subtrees: 20 attempts, each sorted.
   for (int attempt = 0; attempt < 20; ++attempt) {
     auto v = make_workload(Workload::kRandom, 1024, 1000 + attempt);
     auto orig = v;
@@ -750,11 +738,10 @@ TEST(SortFaults, PrunePlacedYesWithCrashesCanLoseWork) {
     for (std::uint32_t t = 1; t < kThreads; ++t) {
       plan.crash_at(t, 1500 + 37 * attempt);  // mid phase-3 territory
     }
-    const bool ok = wfsort::sort_with_faults(
-        std::span<std::uint64_t>(v),
-        Options{.threads = kThreads, .prune = PrunePlaced::kNo}, plan);
+    const bool ok = wfsort::sort_with_faults(std::span<std::uint64_t>(v),
+                                             Options{.threads = kThreads}, plan);
     ASSERT_TRUE(ok);
-    expect_sorted_permutation(orig, v, "kNo attempt " + std::to_string(attempt));
+    expect_sorted_permutation(orig, v, "attempt " + std::to_string(attempt));
   }
 }
 

@@ -274,8 +274,7 @@ TEST(StatsSchema, GoldenNativeShape) {
   EXPECT_EQ(doc.at("substrate").as_string(), "native");
   EXPECT_EQ(object_keys(doc.at("config")),
             (std::vector<std::string>{"variant", "n", "threads", "seed", "wat_batch",
-                                      "seq_cutoff", "lc_copies", "prune", "phase1",
-                                      "telemetry"}));
+                                      "seq_cutoff", "lc_copies", "phase1", "telemetry"}));
   EXPECT_EQ(doc.at("config").at("phase1").as_string(), "tree");
   EXPECT_EQ(doc.at("config").at("telemetry").as_string(), "full");
   EXPECT_EQ(object_keys(doc.at("histograms")),

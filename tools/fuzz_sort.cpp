@@ -2,11 +2,12 @@
 // validation.  Not a libFuzzer target (the environment is offline); a
 // seeded loop that shakes the whole stack:
 //
-//   * native sorter: random (n, threads, variant, phase 1, prune,
-//     distribution, crash/sleep plan); result must be the sorted permutation
-//     whenever at least one worker survives, and untouched otherwise;
-//   * simulator sorter: random (n, procs, variant, scheduler, memory
-//     model); deterministic runs get full structural validation.
+//   * native sorter: random (n, threads, variant, phase 1, distribution,
+//     crash/sleep plan); result must be the sorted permutation whenever at
+//     least one worker survives, and untouched otherwise.  The native engine
+//     has one phase-3 pruning rule, so every draw may take a fault plan;
+//   * simulator sorter: random (n, procs, variant, pruning rule, scheduler,
+//     memory model); deterministic runs get full structural validation.
 //   * fault scripts: a random FaultScript (kills, stalls, suspend/revive
 //     pairs) against a random scenario on either substrate, judged by the
 //     scenario runner (mid-run oracle + hang detection + full validation).
@@ -56,23 +57,13 @@ bool fuzz_native_once(Rng& rng, std::uint64_t iter) {
   const std::size_t n = 2 + rng.below(partition ? 33000 : 4000);
   const auto threads = static_cast<std::uint32_t>(1 + rng.below(6));
   opts.threads = threads;
-  const std::uint64_t pr = rng.below(3);
-  opts.prune = pr == 0   ? wfsort::PrunePlaced::kNo
-               : pr == 1 ? wfsort::PrunePlaced::kYes
-                         : wfsort::PrunePlaced::kDone;
   opts.seed = rng.next();
 
   auto data = wfsort::exp::make_u64_keys(n, random_dist(rng), rng.next());
   auto expected = data;
   std::sort(expected.begin(), expected.end());
 
-  // PrunePlaced::kYes is only sound without faults (documented); fuzz it
-  // faultlessly and fuzz the sound policies with hostile plans.  The
-  // partition path never prunes, so it takes plans under any policy.
-  const bool with_faults =
-      (partition || opts.prune != wfsort::PrunePlaced::kYes) && rng.coin();
-  bool ok;
-  if (with_faults) {
+  if (rng.coin()) {
     wfsort::runtime::FaultPlan plan(threads);
     const auto kills = static_cast<std::uint32_t>(rng.below(threads));  // keep >= 1 alive
     // Partition runs poll about once per element per sweep; reach all three.
@@ -81,21 +72,19 @@ bool fuzz_native_once(Rng& rng, std::uint64_t iter) {
       plan.crash_at(threads - 1 - k, 1 + rng.below(horizon));
     }
     if (rng.coin()) plan.sleep_at(0, 1 + rng.below(100), std::chrono::microseconds(500));
-    ok = wfsort::sort_with_faults(std::span<std::uint64_t>(data), opts, plan);
-    if (!ok) {
+    if (!wfsort::sort_with_faults(std::span<std::uint64_t>(data), opts, plan)) {
       std::printf("iter %llu: no survivor completed (unexpected: %u kills of %u)\n",
                   static_cast<unsigned long long>(iter), kills, threads);
       return false;
     }
   } else {
     wfsort::sort(std::span<std::uint64_t>(data), opts);
-    ok = true;
   }
   if (data != expected) {
     std::printf(
-        "iter %llu: NATIVE SORT WRONG (n=%zu threads=%u variant=%d phase1=%d prune=%llu)\n",
+        "iter %llu: NATIVE SORT WRONG (n=%zu threads=%u variant=%d phase1=%d)\n",
         static_cast<unsigned long long>(iter), n, threads, static_cast<int>(opts.variant),
-        static_cast<int>(opts.phase1), static_cast<unsigned long long>(pr));
+        static_cast<int>(opts.phase1));
     return false;
   }
   return true;
@@ -163,10 +152,11 @@ bool fuzz_script_once(Rng& rng, std::uint64_t iter, const std::string& artifact_
   spec.workload_seed = rng.next();
   spec.procs = static_cast<std::uint32_t>(2 + rng.below(sim ? 14 : 6));
   spec.variant = rng.coin() ? rt::SortKind::kDet : rt::SortKind::kLc;
-  // PlacePrune::kYes/kPlaced is documented-unsound under faults; the sound
-  // policies must survive anything the script throws at them.
-  spec.prune = rng.coin() ? wfsort::sim::PlacePrune::kCompleted
-                          : wfsort::sim::PlacePrune::kNone;
+  // PlacePrune::kPlaced is documented-unsound under faults; the sound rules
+  // must survive anything the script throws at them.  The native engine has
+  // only kCompleted.
+  spec.prune = sim && rng.coin() ? wfsort::sim::PlacePrune::kNone
+                                 : wfsort::sim::PlacePrune::kCompleted;
   spec.random_first = rng.coin();
   spec.machine_seed = rng.next();
   if (sim && rng.below(4) == 0) spec.memory = pram::MemoryModel::kStall;

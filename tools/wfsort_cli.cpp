@@ -903,6 +903,10 @@ wfsort::runtime::ScenarioSpec spec_from_flags(const wfsort::CliFlags& flags) {
 
 int run_hunt(const wfsort::CliFlags& flags) {
   const wfsort::runtime::ScenarioSpec spec = spec_from_flags(flags);
+  if (const std::string err = wfsort::runtime::native_spec_error(spec); !err.empty()) {
+    std::fprintf(stderr, "hunt: %s\n", err.c_str());
+    return 2;
+  }
   wfsort::runtime::SearchOptions sopts;
   sopts.max_runs = flags.u64("budget");
   sopts.seed = flags.u64("seed") * 0x9e3779b97f4a7c15ULL + 1;
@@ -1169,7 +1173,8 @@ int main(int argc, char** argv) {
                  "bench --pool: add the small-N cold-vs-pooled latency sweep "
                  "(2^10..2^20) to the envelope");
   flags.add_string("substrate", "sim", "hunt: sim | native");
-  flags.add_string("prune", "completed", "hunt: phase-3 pruning (none|placed|completed)");
+  flags.add_string("prune", "completed",
+                   "hunt: phase-3 pruning (none|placed|completed; native: completed)");
   flags.add_u64("budget", 400, "hunt: max scenario executions");
   flags.add_string("out", "wfsort-repro.json", "hunt: replay artifact path");
   flags.add_bool("shrink", true, "hunt: delta-debug the failing script before writing");
