@@ -160,7 +160,8 @@ class Engine {
       const std::span<const Key> keys(data_.data(), data_.size());
       if (effective_variant_ == Variant::kDeterministic &&
           opts.phase1 == Phase1::kPartition) {
-        part_ = arena_->create<PartitionShared<Key>>(keys, copy_back_, *arena_);
+        part_ = arena_->create<PartitionShared<Key>>(
+            keys, copy_back_, copy_back_ && kBareKeyOrder<Key, Compare>, *arena_);
       } else {
         st_ = arena_->create<TreeState<Key, Compare>>(keys, cmp, *arena_);
         if (effective_variant_ == Variant::kLowContention) {

@@ -5,7 +5,8 @@
 // node), it gathers the subtree's (key, index) pairs into scratch, sorts
 // them with the introsort-style routine in this header, and emits the ranks
 // in one streaming pass.  The same routine sorts the partition-phase
-// buckets and the splitter samples.
+// buckets (bare keys or (key, index) pairs, partition_phase.h) and the
+// splitter samples.
 //
 // The sort is the pdqsort recipe reduced to its load-bearing parts:
 //
@@ -16,9 +17,16 @@
 //     so the scan takes one data-dependent branch per 8 elements instead of
 //     one per element;
 //   * a bad-pivot budget of floor(log2 n)+1; a partition whose smaller side
-//     is below len/8 spends one unit, and an exhausted budget falls back to
+//     is below len/8 spends one unit and swaps a few elements of each side
+//     to break the input's pattern, and an exhausted budget falls back to
 //     heapsort — the classic introsort O(n log n) worst-case guarantee,
-//     exercised in test_engine_detail with a quicksort-adversarial input.
+//     exercised in test_engine_detail with a quicksort-adversarial input;
+//   * pdqsort's equal-key step: a range that is not leftmost sits right of a
+//     split point, so the element before it is <= all of it.  A pivot not
+//     greater than that element is the range's minimum; its equals move
+//     left in one pass and are done, so bare keys with few distinct values
+//     shed a whole key per partition instead of splitting it down to
+//     insertion sorts (or exhausting the budget).
 //
 // Comparisons go through a strict-weak-order functor; the engine instantiates
 // it with the (key, then index) order of TreeState::less, so a leaf-sorted
@@ -215,8 +223,40 @@ void heapsort(T* first, T* last, Less less) {
   }
 }
 
+// Move every element equal to the pivot at *first — the range's minimum —
+// to the front, in one pass; returns the end of that run of equals.
 template <typename T, typename Less>
-void sort_impl(T* first, T* last, Less less, int budget, LeafSortTally* tally) {
+T* partition_equal(T* first, T* last, Less less, std::uint64_t* swaps) {
+  T* m = first + 1;
+  for (T* p = first + 1; p < last; ++p) {
+    if (!less(*first, *p)) {
+      std::swap(*m, *p);
+      ++*swaps;
+      ++m;
+    }
+  }
+  return m;
+}
+
+// pdqsort's pattern breaking after an unbalanced split: swap the ends of
+// [first, last) with elements a quarter in, so patterned input (organ pipe)
+// does not hand the next pivot selection the same bad samples.
+template <typename T>
+void break_pattern(T* first, T* last) {
+  const std::ptrdiff_t len = last - first;
+  if (len < kInsertionThreshold) return;
+  const int k = len > kPseudomedianThreshold ? 3 : 1;  // the ninther reads 3 per end
+  for (int i = 0; i < k; ++i) {
+    std::swap(first[i], first[len / 4 + i]);
+    std::swap(last[-1 - i], last[-len / 4 - i]);
+  }
+}
+
+// `leftmost` is false when first[-1] exists and is <= every element of
+// [first, last).
+template <typename T, typename Less>
+void sort_impl(T* first, T* last, Less less, int budget, bool leftmost,
+               LeafSortTally* tally) {
   for (;;) {
     const std::ptrdiff_t len = last - first;
     if (len <= kInsertionThreshold) {
@@ -232,16 +272,29 @@ void sort_impl(T* first, T* last, Less less, int budget, LeafSortTally* tally) {
       return;
     }
     select_pivot(first, last, less);
+    if (!leftmost && !less(first[-1], *first)) {
+      first = partition_equal(first, last, less, &tally->partition_swaps);
+      continue;
+    }
     T* s = hoare_split(first, last, less, &tally->partition_swaps);
     const std::ptrdiff_t left = s - first;
     const std::ptrdiff_t right = last - s;
-    if (left < len / 8 || right < len / 8) --budget;  // unbalanced: spend one
+    if (left < len / 8 || right < len / 8) {
+      // Unbalanced: spend one unit, and break the input's pattern (pdqsort's
+      // fixed-offset swaps inside each side) so the next pivot is not as bad.
+      --budget;
+      break_pattern(first, s);
+      break_pattern(s, last);
+    }
     // Recurse into the smaller side, loop on the larger (O(log n) stack).
+    // Every element of [first, s) is <= every element of [s, last), so the
+    // right side is never leftmost.
     if (left < right) {
-      sort_impl(first, s, less, budget, tally);
+      sort_impl(first, s, less, budget, leftmost, tally);
       first = s;
+      leftmost = false;
     } else {
-      sort_impl(s, last, less, budget, tally);
+      sort_impl(s, last, less, budget, false, tally);
       last = s;
     }
   }
@@ -258,7 +311,7 @@ void leaf_sort(T* first, T* last, Less less, LeafSortTally* tally) {
   // floor(log2 n) + 1 — the introsort depth allowance.
   const int budget =
       static_cast<int>(std::bit_width(static_cast<std::uint64_t>(last - first)));
-  leaf::sort_impl(first, last, less, budget, tally);
+  leaf::sort_impl(first, last, less, budget, /*leftmost=*/true, tally);
 }
 
 // Test hook: same sort with an explicit bad-pivot budget, so unit tests can
@@ -268,7 +321,7 @@ void leaf_sort_with_budget(T* first, T* last, Less less, int budget,
                            LeafSortTally* tally) {
   ++tally->blocks;
   if (last - first <= 1) return;
-  leaf::sort_impl(first, last, less, budget, tally);
+  leaf::sort_impl(first, last, less, budget, /*leftmost=*/true, tally);
 }
 
 // The (key, index) pair a leaf block is sorted by; ordering matches

@@ -22,18 +22,24 @@
 //   scatter    jobs = the same chunks.  With the full histogram visible, the
 //              destination of every element is a deterministic function of
 //              (chunk, bucket, rank-in-chunk): worker reads the cached
-//              bucket ids and stores each element's (key, index) into its
-//              slot of the scattered arrays.  Concurrent duplicates write
-//              identical values to identical slots.
+//              bucket ids and stores each element's key (and, on a pair
+//              run, its index) into its slot of the scattered arrays.
+//              Concurrent duplicates write identical values to identical
+//              slots.
 //   buckets    jobs = buckets.  The worker copies one bucket's scattered
-//              pairs into PRIVATE scratch, sorts them with leaf_sort, and
-//              writes consecutive rank slots of the run's output from the
-//              bucket's base: the key of each rank on a copy-back run, its
-//              input index on a sort_permutation run.  (The copy is
-//              load-bearing: two workers may sort the same bucket
-//              concurrently, and an in-place sort of shared memory would
-//              interleave swaps — each sorts its own copy; output stores are
-//              idempotent.)
+//              elements into PRIVATE scratch, sorts them with leaf_sort
+//              unless they already arrive in order, and writes consecutive
+//              rank slots of the run's output from the bucket's base: the
+//              key of each rank on a copy-back run, its input index on a
+//              sort_permutation run.  (The copy is load-bearing: two workers
+//              may sort the same bucket concurrently, and an in-place sort
+//              of shared memory would interleave swaps — each sorts its own
+//              copy; output stores are idempotent.)  A copy-back run whose
+//              equivalent keys are bit-identical (kBareKeyOrder) copies and
+//              sorts bare keys: the ranks' keys are then fixed by the key
+//              order alone, so the index tie-break cannot change an output
+//              byte and is never scattered.  Every other run copies and
+//              sorts (key, index) pairs.
 //
 // Sweep ordering without barriers: a worker starts sweep k+1 only after ITS
 // sweep-k Wat loop returned kAllJobsDone, which acquire-read the done flags
@@ -44,7 +50,7 @@
 // finished worker's copy-back reads it.
 //
 // That gate is also why every shared array the sweeps write (hist,
-// bucket_id, skey, sidx and the output) is taken from the arena
+// bucket_id, skey, sidx when allocated, and the output) is taken from the arena
 // UNINITIALISED and accessed through std::atomic_ref: each slot is written
 // by the sweep that owns it before any sweep reads it, so a pooled run's
 // leftover bytes are never observed, and the arrays' first-touch page
@@ -72,7 +78,9 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/arena.h"
@@ -92,6 +100,16 @@ template <typename T>
 inline T load_relaxed(const T& slot) {
   return std::atomic_ref<T>(const_cast<T&>(slot)).load(std::memory_order_relaxed);
 }
+
+// Whether keys that compare equivalent under Compare are bit-identical, so
+// that sorting a bucket's bare keys emits the same bytes as sorting its
+// (key, index) pairs: integral keys under std::less or std::greater.
+template <typename Key, typename Compare>
+inline constexpr bool kBareKeyOrder =
+    std::is_integral_v<Key> &&
+    (std::is_same_v<Compare, std::less<Key>> || std::is_same_v<Compare, std::less<>> ||
+     std::is_same_v<Compare, std::greater<Key>> ||
+     std::is_same_v<Compare, std::greater<>>);
 
 // Shared, write-idempotent state of one partition-phase run, including the
 // run's output.
@@ -126,8 +144,9 @@ struct PartitionShared {
   // idempotent-store / ALLDONE-gated discipline as `hist`; uint16 because
   // kMaxBuckets is 1024.
   std::uint16_t* bucket_id;
-  // Scattered (key, index) pairs, one deterministic slot per element.  The
-  // index fits uint32 by the ctor CHECK below.
+  // Scattered keys, one deterministic slot per element, and beside them
+  // the input index of each slot on a pair run; a bare-key run leaves sidx
+  // null.  The index fits uint32 by the ctor CHECK below.
   Key* skey;
   std::uint32_t* sidx;
   // The run's rank-indexed output, written by the bucket sweep; exactly one
@@ -142,7 +161,9 @@ struct PartitionShared {
 
   // All shared arrays and Wat done-bits borrow RunArena storage.
   // `keys_out` picks the output form: keys (copy-back) or indices.
-  PartitionShared(std::span<const Key> input, bool keys_out, RunArena& arena)
+  // `bare_keys` (copy-back only) drops sidx: buckets sort bare keys.
+  PartitionShared(std::span<const Key> input, bool keys_out, bool bare_keys,
+                  RunArena& arena)
       : n(static_cast<std::int64_t>(input.size())),
         chunks((n + kChunk - 1) / kChunk),
         buckets(std::min(std::max<std::int64_t>(n / kChunk, 1), kMaxBuckets)),
@@ -151,13 +172,14 @@ struct PartitionShared {
         hist(arena.uninit<std::uint32_t>(static_cast<std::size_t>(chunks * buckets))),
         bucket_id(arena.uninit<std::uint16_t>(input.size())),
         skey(arena.uninit<Key>(input.size())),
-        sidx(arena.uninit<std::uint32_t>(input.size())),
+        sidx(bare_keys ? nullptr : arena.uninit<std::uint32_t>(input.size())),
         out(keys_out ? arena.uninit<Key>(input.size()) : nullptr),
         out_idx(keys_out ? nullptr : arena.uninit<std::uint32_t>(input.size())),
         classify_wat(static_cast<std::uint64_t>(chunks), arena),
         scatter_wat(static_cast<std::uint64_t>(chunks), arena),
         bucket_wat(static_cast<std::uint64_t>(buckets), arena) {
     WFSORT_CHECK(n > 0);
+    WFSORT_CHECK(keys_out || !bare_keys);
     // Scatter-offset bookkeeping and sidx are uint32; 2^32 elements is
     // 32 GiB of keys.
     WFSORT_CHECK(n <= static_cast<std::int64_t>(UINT32_MAX));
@@ -184,7 +206,8 @@ struct PartitionLocal {
   std::vector<std::uint32_t> offsets;      // chunks x buckets absolute start slots
   std::vector<std::int64_t> base;          // buckets+1 bucket base slots
   std::vector<std::uint32_t> cursor;       // scatter scratch (buckets)
-  std::vector<LeafItem<Key>> items;        // bucket gather/sort scratch
+  std::vector<LeafItem<Key>> items;        // sample and pair-bucket scratch
+  std::vector<Key> bare;                   // bare-key bucket scratch
   std::vector<std::uint32_t> run;          // partition_offsets cursor scratch
   bool offsets_ready = false;
   LeafSortTally tally;                     // folded into telemetry by the engine
@@ -349,9 +372,10 @@ bool partition_offsets(const PartitionShared<Key>& ps, PartitionLocal<Key>& loca
 }
 
 // Scatter sweep, one chunk: read each element's cached bucket id and store
-// its (key, index) into the deterministic slot.  Idempotent — slot and value
-// are functions of the input alone.  The bucket ids were filled by the
-// classify sweep, whose ALLDONE gate precedes this call.
+// its key, and on a pair run its index, into the deterministic slot.
+// Idempotent — slot and values are functions of the input alone.  The bucket
+// ids were filled by the classify sweep, whose ALLDONE gate precedes this
+// call.
 template <typename Key, typename Check>
 bool partition_scatter(PartitionShared<Key>& ps, PartitionLocal<Key>& local,
                        std::int64_t chunk, Check&& keep_going) {
@@ -361,20 +385,56 @@ bool partition_scatter(PartitionShared<Key>& ps, PartitionLocal<Key>& local,
       local.offsets.data() + static_cast<std::size_t>(chunk * ps.buckets);
   std::uint32_t* cursor = local.cursor.data();
   for (std::int64_t b = 0; b < ps.buckets; ++b) cursor[b] = off[b];
-  for (std::int64_t i = lo; i < hi; ++i) {
+  // The index store is chosen once per run, not tested per element.
+  const auto sweep = [&](auto with_idx) {
+    for (std::int64_t i = lo; i < hi; ++i) {
+      if (!keep_going()) return false;
+      const std::int64_t b = load_relaxed(ps.bucket_id[static_cast<std::size_t>(i)]);
+      const std::size_t slot = cursor[b]++;
+      store_relaxed(ps.skey[slot], ps.key(i));
+      if constexpr (decltype(with_idx)::value) {
+        store_relaxed(ps.sidx[slot], static_cast<std::uint32_t>(i));
+      }
+    }
+    return true;
+  };
+  return ps.sidx != nullptr ? sweep(std::true_type{}) : sweep(std::false_type{});
+}
+
+// Gather slots [lo, hi) into private `scratch` with `load`, sort them under
+// `less` unless they are already in order, and hand each to `emit` with its
+// rank.  A presorted bucket still counts as one leaf block.
+template <typename T, typename Less, typename Load, typename Emit, typename Check>
+bool sort_bucket(std::vector<T>& scratch, std::int64_t lo, std::int64_t hi, Less less,
+                 LeafSortTally& tally, Load&& load, Emit&& emit, Check&& keep_going) {
+  // Sized once and filled by index: a per-element push_back leaves the
+  // gather loop's cost to whether the compiler inlines vector growth into
+  // the (large) engine worker, and out of line it is a call per element.
+  scratch.resize(static_cast<std::size_t>(hi - lo));
+  T* items = scratch.data();
+  for (std::int64_t s = lo; s < hi; ++s) {
     if (!keep_going()) return false;
-    const std::int64_t b = load_relaxed(ps.bucket_id[static_cast<std::size_t>(i)]);
-    const std::size_t slot = cursor[b]++;
-    store_relaxed(ps.skey[slot], ps.key(i));
-    store_relaxed(ps.sidx[slot], static_cast<std::uint32_t>(i));
+    items[s - lo] = load(static_cast<std::size_t>(s));
+  }
+  if (std::is_sorted(items, items + (hi - lo), less)) {
+    ++tally.blocks;
+  } else {
+    leaf_sort(items, items + (hi - lo), less, &tally);
+  }
+  std::size_t rank = static_cast<std::size_t>(lo);
+  for (const T& it : scratch) {
+    if (!keep_going()) return false;
+    emit(rank++, it);
   }
   return true;
 }
 
-// Bucket sweep, one bucket: copy the bucket's scattered pairs into private
-// scratch, leaf-sort, store consecutive ranks into the run's output.  The
-// private copy is essential — concurrent duplicates of this job must not
-// sort shared memory in place.
+// Bucket sweep, one bucket: copy the bucket's scattered elements into
+// private scratch, leaf-sort, store consecutive ranks into the run's output.
+// The private copy is essential — concurrent duplicates of this job must not
+// sort shared memory in place.  A run without sidx sorts bare keys (only
+// kBareKeyOrder runs are built that way); every other run sorts (key,
+// index) pairs.
 template <typename Key, typename Compare, typename Check>
 bool partition_bucket(const Compare& cmp, PartitionShared<Key>& ps,
                       PartitionLocal<Key>& local, std::int64_t bucket,
@@ -382,29 +442,28 @@ bool partition_bucket(const Compare& cmp, PartitionShared<Key>& ps,
   const std::int64_t lo = local.base[static_cast<std::size_t>(bucket)];
   const std::int64_t hi = local.base[static_cast<std::size_t>(bucket) + 1];
   if (lo == hi) return true;  // empty bucket (skewed input vs the sample)
-  // Sized once and filled by index: a per-element push_back leaves the
-  // gather loop's cost to whether the compiler inlines vector growth into
-  // the (large) engine worker, and out of line it is a call per element.
-  local.items.resize(static_cast<std::size_t>(hi - lo));
-  LeafItem<Key>* items = local.items.data();
-  for (std::int64_t s = lo; s < hi; ++s) {
-    if (!keep_going()) return false;
-    items[s - lo] = {
-        load_relaxed(ps.skey[static_cast<std::size_t>(s)]),
-        static_cast<std::int64_t>(load_relaxed(ps.sidx[static_cast<std::size_t>(s)]))};
-  }
-  leaf_sort(items, items + (hi - lo), LeafItemLess<Key, Compare>{cmp}, &local.tally);
-  std::size_t rank = static_cast<std::size_t>(lo);
-  for (const LeafItem<Key>& it : local.items) {
-    if (!keep_going()) return false;
-    if (ps.out != nullptr) {
-      store_relaxed(ps.out[rank], it.key);
-    } else {
-      store_relaxed(ps.out_idx[rank], static_cast<std::uint32_t>(it.idx));
+  if constexpr (kBareKeyOrder<Key, Compare>) {
+    if (ps.sidx == nullptr) {
+      return sort_bucket(
+          local.bare, lo, hi, cmp, local.tally,
+          [&](std::size_t s) { return load_relaxed(ps.skey[s]); },
+          [&](std::size_t r, const Key& k) { store_relaxed(ps.out[r], k); }, keep_going);
     }
-    ++rank;
   }
-  return true;
+  WFSORT_DCHECK(ps.sidx != nullptr);
+  const auto load = [&](std::size_t s) {
+    return LeafItem<Key>{load_relaxed(ps.skey[s]),
+                         static_cast<std::int64_t>(load_relaxed(ps.sidx[s]))};
+  };
+  const auto emit = [&](std::size_t r, const LeafItem<Key>& it) {
+    if (ps.out != nullptr) {
+      store_relaxed(ps.out[r], it.key);
+    } else {
+      store_relaxed(ps.out_idx[r], static_cast<std::uint32_t>(it.idx));
+    }
+  };
+  return sort_bucket(local.items, lo, hi, LeafItemLess<Key, Compare>{cmp}, local.tally,
+                     load, emit, keep_going);
 }
 
 }  // namespace wfsort::detail

@@ -80,7 +80,8 @@ enum class Counter : std::uint8_t {
   kLcProbes,          // LC sum/place uniform random probes (stages F-G)
   kLcBurstVisits,     // nodes visited by LC probe bursts (stages F-G)
   kBackoffSpins,      // pause iterations spent in stage-E CAS backoff
-  kLeafBlocks,        // leaf_sort blocks this worker sorted (cutoff + buckets)
+  kLeafBlocks,        // leaf blocks this worker handled: cutoff blocks + buckets,
+                      // a bucket skipped as presorted included
   kLeafInsertionSorts,  // leaf_sort ranges finished by insertion sort
   kLeafHeapsorts,     // leaf_sort bad-pivot heapsort fallbacks taken
   kPartitionSwaps,    // element swaps performed by leaf_sort partitions

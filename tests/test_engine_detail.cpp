@@ -475,6 +475,30 @@ TEST(LeafSort, ExhaustedBudgetFallsBackToHeapsort) {
   EXPECT_EQ(tally.insertion_sorts, 0u);
 }
 
+TEST(LeafSort, FewDistinctAndOrganPipeNeverFallBackToHeapsort) {
+  // Bare keys with 1, 2 or 8 distinct values: the equal-key step sheds each
+  // key's run once its minimum is the pivot, so duplicates never spend the
+  // bad-pivot budget.  Organ pipes (distinct = 0 below; each key twice)
+  // hand median-of-3 and the ninther low pivots until pattern breaking
+  // reshuffles them.
+  for (const std::uint64_t distinct : {0u, 1u, 2u, 8u}) {
+    for (const std::size_t n : {25u, 100u, 2048u, 5000u, 65536u}) {
+      wfsort::Rng rng(distinct * 1000 + n);
+      std::vector<std::uint64_t> v(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        v[i] = distinct == 0 ? (i < n / 2 ? i : n - i) : rng.below(distinct);
+      }
+      auto expected = v;
+      std::sort(expected.begin(), expected.end());
+      wfsort::detail::LeafSortTally tally;
+      wfsort::detail::leaf_sort(v.data(), v.data() + v.size(),
+                                std::less<std::uint64_t>{}, &tally);
+      EXPECT_EQ(v, expected) << "distinct=" << distinct << " n=" << n;
+      EXPECT_EQ(tally.heapsorts, 0u) << "distinct=" << distinct << " n=" << n;
+    }
+  }
+}
+
 TEST(LeafSort, AdversarialMedian3KillerStaysCorrect) {
   // Musser's median-of-3 killer: forces the med3 choice toward small pivots.
   // The bad-pivot budget must keep the sort O(n log n) (= it terminates
@@ -573,10 +597,12 @@ void run_partition(Partition& ps, PartitionLocal& local) {
 TEST(PartitionPhase, SingleBucketBelowChunkSize) {
   auto keys = pattern_input("random", 100);  // < kChunk: one bucket, no splitters
   wfsort::RunArena arena;
-  Partition ps(std::span<const std::uint64_t>(keys), /*keys_out=*/true, arena);
+  Partition ps(std::span<const std::uint64_t>(keys), /*keys_out=*/true,
+               /*bare_keys=*/true, arena);
   EXPECT_EQ(ps.buckets, 1);
   ASSERT_NE(ps.out, nullptr);
   EXPECT_EQ(ps.out_idx, nullptr);
+  EXPECT_EQ(ps.sidx, nullptr);
   PartitionLocal local;
   run_partition(ps, local);
   EXPECT_TRUE(local.tree.empty());
@@ -590,15 +616,40 @@ TEST(PartitionPhase, SingleBucketBelowChunkSize) {
 
 TEST(PartitionPhase, ManyChunksDuplicateHeavyMatchesSort) {
   auto keys = pattern_input("dup-heavy", 10000);  // 5 chunks -> 4 buckets
-  wfsort::RunArena arena;
-  Partition ps(std::span<const std::uint64_t>(keys), /*keys_out=*/true, arena);
-  EXPECT_GT(ps.buckets, 1);
-  PartitionLocal local;
-  run_partition(ps, local);
   auto expected = keys;
   std::sort(expected.begin(), expected.end());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    EXPECT_EQ(ps.out[i], expected[i]) << i;
+  for (const bool bare : {false, true}) {  // pair and bare-key buckets
+    wfsort::RunArena arena;
+    Partition ps(std::span<const std::uint64_t>(keys), /*keys_out=*/true, bare, arena);
+    EXPECT_GT(ps.buckets, 1);
+    EXPECT_EQ(ps.sidx == nullptr, bare);
+    PartitionLocal local;
+    run_partition(ps, local);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      EXPECT_EQ(ps.out[i], expected[i]) << "bare=" << bare << " " << i;
+    }
+  }
+}
+
+TEST(PartitionPhase, PresortedBucketsSkipTheSortButCountAsBlocks) {
+  // Presorted and all-equal input scatter every bucket in order: neither
+  // bucket form sorts it, and each bucket is still one leaf block.
+  for (const char* pattern : {"presorted", "all-equal"}) {
+    auto keys = pattern_input(pattern, 10000);
+    for (const bool bare : {false, true}) {
+      wfsort::RunArena arena;
+      Partition ps(std::span<const std::uint64_t>(keys), /*keys_out=*/true, bare, arena);
+      PartitionLocal sample;  // the splitter sample's sort alone
+      ASSERT_TRUE(wfsort::detail::partition_prepare(kLess, ps, sample, kKeepGoing));
+      PartitionLocal local;
+      run_partition(ps, local);
+      EXPECT_EQ(local.tally.blocks,
+                sample.tally.blocks + static_cast<std::uint64_t>(ps.buckets))
+          << pattern << " bare=" << bare;
+      EXPECT_EQ(local.tally.insertion_sorts, sample.tally.insertion_sorts);
+      EXPECT_EQ(local.tally.partition_swaps, sample.tally.partition_swaps);
+      for (std::size_t i = 0; i < keys.size(); ++i) ASSERT_EQ(ps.out[i], keys[i]) << i;
+    }
   }
 }
 
@@ -607,7 +658,8 @@ TEST(PartitionPhase, IndexOutputIsTheStableArgsort) {
   // key: exactly the (key, index) argsort.
   auto keys = pattern_input("dup-heavy", 10000);
   wfsort::RunArena arena;
-  Partition ps(std::span<const std::uint64_t>(keys), /*keys_out=*/false, arena);
+  Partition ps(std::span<const std::uint64_t>(keys), /*keys_out=*/false,
+               /*bare_keys=*/false, arena);
   EXPECT_EQ(ps.out, nullptr);
   ASSERT_NE(ps.out_idx, nullptr);
   PartitionLocal local;
@@ -626,7 +678,8 @@ TEST(PartitionPhase, AllEqualKeysSplittersStayBalanced) {
   // it must keep the buckets balanced instead of collapsing them into one.
   auto keys = pattern_input("all-equal", 8192);
   wfsort::RunArena arena;
-  Partition ps(std::span<const std::uint64_t>(keys), /*keys_out=*/false, arena);
+  Partition ps(std::span<const std::uint64_t>(keys), /*keys_out=*/false,
+               /*bare_keys=*/false, arena);
   ASSERT_GT(ps.buckets, 1);
   PartitionLocal local;
   run_partition(ps, local);
@@ -645,7 +698,8 @@ TEST(PartitionPhase, AllEqualKeysSplittersStayBalanced) {
 TEST(PartitionPhase, EmptyBucketIsSkipped) {
   std::vector<std::uint64_t> keys{3, 1, 2};
   wfsort::RunArena arena;
-  Partition ps(std::span<const std::uint64_t>(keys), /*keys_out=*/true, arena);
+  Partition ps(std::span<const std::uint64_t>(keys), /*keys_out=*/true,
+               /*bare_keys=*/true, arena);
   std::fill(ps.out, ps.out + keys.size(), 99u);
   PartitionLocal local;
   // Hand-crafted bases with an empty bucket 0 (skewed input vs the sample):
@@ -687,7 +741,8 @@ TEST(PartitionPhase, ClassifyCountsSplittersStrictlyBelow) {
     for (const char* pattern : {"random", "presorted", "reverse", "all-equal", "dup-heavy"}) {
       auto keys = pattern_input(pattern, n);
       wfsort::RunArena arena;
-      Partition ps(std::span<const std::uint64_t>(keys), /*keys_out=*/true, arena);
+      Partition ps(std::span<const std::uint64_t>(keys), /*keys_out=*/true,
+                   /*bare_keys=*/false, arena);
       PartitionLocal local;
       ASSERT_TRUE(wfsort::detail::partition_prepare(kLess, ps, local, kKeepGoing));
       const auto splitters = reference_splitters(ps);
@@ -722,7 +777,8 @@ TEST(PartitionPhase, AbortedSweepsReturnFalse) {
   // 4 full chunks and a last one of 1813 = 8*226 + 5 elements: a group tail.
   auto keys = pattern_input("random", 10005);
   wfsort::RunArena arena;
-  Partition ps(std::span<const std::uint64_t>(keys), /*keys_out=*/true, arena);
+  Partition ps(std::span<const std::uint64_t>(keys), /*keys_out=*/true,
+               /*bare_keys=*/false, arena);
   PartitionLocal local;
   int budget = 5;
   auto limited = [&budget] { return budget-- > 0; };

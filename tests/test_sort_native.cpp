@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <ostream>
 #include <span>
 #include <string>
@@ -363,6 +364,111 @@ TEST(SortNative, PartitionPhaseHonoursTheCallersOrder) {
   EXPECT_EQ(wfsort::sort_permutation(std::span<const double>(d), part,
                                      std::greater<double>{}),
             stable_argsort(std::greater<double>{}));
+}
+
+// ------------------------------------------------------------ partition key order
+
+// Det-partition copy-back buckets sort bare keys exactly when equivalent
+// keys are bit-identical (detail::kBareKeyOrder); every other run keeps the
+// (key, index) pairs.  Both must emit the tree path's bytes.
+
+// Orders keys by their high 48 bits alone, so keys that differ only in the
+// low 16 bits are equivalent but not identical.
+struct High48Less {
+  bool operator()(std::uint64_t a, std::uint64_t b) const {
+    return (a >> 16) < (b >> 16);
+  }
+};
+
+static_assert(wfsort::detail::kBareKeyOrder<std::uint64_t, std::less<std::uint64_t>>);
+static_assert(wfsort::detail::kBareKeyOrder<std::int32_t, std::greater<>>);
+static_assert(!wfsort::detail::kBareKeyOrder<double, std::less<double>>);
+static_assert(!wfsort::detail::kBareKeyOrder<std::uint64_t, High48Less>);
+
+const Workload kKeyOrderWorkloads[] = {
+    Workload::kRandom,      Workload::kSorted,   Workload::kReversed,
+    Workload::kFewDistinct, Workload::kAllEqual, Workload::kOrganPipe};
+
+// Sort `v` with both deterministic phase 1s at `threads` and expect the
+// same bytes.
+template <typename Key, typename Compare>
+void expect_partition_matches_tree(const std::vector<Key>& v, std::uint32_t threads,
+                                   Compare cmp, const std::string& label) {
+  auto tree = v;
+  auto part = v;
+  wfsort::sort(std::span<Key>(tree), Options{.threads = threads, .phase1 = Phase1::kTree},
+               nullptr, cmp);
+  wfsort::sort(std::span<Key>(part),
+               Options{.threads = threads, .phase1 = Phase1::kPartition}, nullptr, cmp);
+  ASSERT_TRUE(std::is_sorted(tree.begin(), tree.end(), cmp)) << label;
+  EXPECT_EQ(std::memcmp(tree.data(), part.data(), v.size() * sizeof(Key)), 0) << label;
+}
+
+TEST(PartitionKeyOrder, CopyBackMatchesTreeBitExactly) {
+  for (const std::size_t n : {2u * 2048u + 17u, 65536u}) {
+    for (const std::uint32_t threads : {1u, 4u}) {
+      for (const Workload w : kKeyOrderWorkloads) {
+        const std::string label = std::string(workload_name(w)) + " n=" +
+                                  std::to_string(n) + " t=" + std::to_string(threads);
+        const auto v = make_workload(w, n, 611);
+        expect_partition_matches_tree(v, threads, std::less<std::uint64_t>{},
+                                      "less " + label);
+        expect_partition_matches_tree(v, threads, std::greater<std::uint64_t>{},
+                                      "greater " + label);
+        // Signed keys: random keys truncate to both signs, the rest shift
+        // down by n.
+        std::vector<std::int32_t> s(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          s[i] = static_cast<std::int32_t>(static_cast<std::uint32_t>(v[i])) -
+                 (w == Workload::kRandom ? 0 : static_cast<std::int32_t>(n));
+        }
+        expect_partition_matches_tree(s, threads, std::less<>{}, "int32 " + label);
+        // Shifted into the high 48 bits under random low bits: every
+        // repeated key becomes a run of equivalent, distinct keys.
+        Rng rng(n + threads);
+        std::vector<std::uint64_t> h(n);
+        for (std::size_t i = 0; i < n; ++i) h[i] = (v[i] << 16) | rng.below(1u << 16);
+        expect_partition_matches_tree(h, threads, High48Less{}, "high48 " + label);
+      }
+    }
+  }
+}
+
+TEST(PartitionKeyOrder, StaggeredKillsInsideTheBucketSweep) {
+  // Four workers poll about once per element in classify and scatter and
+  // twice in the bucket sweep, so each reaches its buckets near step n/2 and
+  // finishes near n: the kills below land inside the bucket sweep, where
+  // duplicate workers sort private copies of the same bucket.
+  constexpr std::size_t kN = 65536;
+  const auto v = make_workload(Workload::kRandom, kN, 29);
+  auto expected = v;
+  std::sort(expected.begin(), expected.end());
+  auto out = v;
+  wfsort::runtime::FaultPlan plan(4);
+  plan.crash_at(1, 40000);
+  plan.crash_at(2, 50000);
+  plan.crash_at(3, 60000);
+  SortStats stats;
+  const Options opts{.threads = 4, .phase1 = Phase1::kPartition};
+  ASSERT_TRUE(
+      wfsort::sort_with_faults(std::span<std::uint64_t>(out), opts, plan, &stats));
+  EXPECT_EQ(out, expected);
+  EXPECT_GE(stats.completed_workers, 1u);
+}
+
+TEST(PartitionKeyOrder, PermutationStaysTheStableArgsort) {
+  for (const Workload w : kKeyOrderWorkloads) {
+    const auto v = make_workload(w, 2 * 2048 + 17, 53);
+    std::vector<std::uint32_t> expected(v.size());
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      expected[i] = static_cast<std::uint32_t>(i);
+    }
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&](std::uint32_t a, std::uint32_t b) { return v[a] < v[b]; });
+    const Options opts{.threads = 4, .phase1 = Phase1::kPartition};
+    EXPECT_EQ(wfsort::sort_permutation(std::span<const std::uint64_t>(v), opts), expected)
+        << workload_name(w);
+  }
 }
 
 // ------------------------------------------------------------ variants

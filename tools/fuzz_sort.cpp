@@ -5,7 +5,10 @@
 //   * native sorter: random (n, threads, variant, phase 1, distribution,
 //     crash/sleep plan); result must be the sorted permutation whenever at
 //     least one worker survives, and untouched otherwise.  The native engine
-//     has one phase-3 pruning rule, so every draw may take a fault plan;
+//     has one phase-3 pruning rule, so every draw may take a fault plan.
+//     Half the det-partition draws order keys by their high 48 bits only,
+//     so equivalent keys differ and the buckets must sort (key, index)
+//     pairs; the result must then equal std::stable_sort's;
 //   * simulator sorter: random (n, procs, variant, pruning rule, scheduler,
 //     memory model); deterministic runs get full structural validation.
 //   * fault scripts: a random FaultScript (kills, stalls, suspend/revive
@@ -44,7 +47,22 @@ wfsort::exp::Dist random_dist(Rng& rng) {
   return kAll[rng.below(6)];
 }
 
-bool fuzz_native_once(Rng& rng, std::uint64_t iter) {
+// Orders keys by their high 48 bits alone: keys that differ only in the low
+// 16 bits are equivalent but not identical.
+struct High48Less {
+  bool operator()(std::uint64_t a, std::uint64_t b) const {
+    return (a >> 16) < (b >> 16);
+  }
+};
+
+// Det-partition draws by bucket element: bare keys (std::less) or (key,
+// index) pairs (High48Less).
+struct BucketPaths {
+  std::uint64_t bare = 0;
+  std::uint64_t pairs = 0;
+};
+
+bool fuzz_native_once(Rng& rng, std::uint64_t iter, BucketPaths& paths) {
   wfsort::Options opts;
   opts.variant = rng.coin() ? wfsort::Variant::kDeterministic
                             : wfsort::Variant::kLowContention;
@@ -54,16 +72,31 @@ bool fuzz_native_once(Rng& rng, std::uint64_t iter) {
   // Partition runs get one bucket per 2048 elements: up to ~2^15 elements
   // spans 1-16 buckets, so classify and scatter see padded splitter trees.
   const bool partition = opts.phase1 == wfsort::Phase1::kPartition;
+  const bool high48 = partition && rng.coin();
+  if (partition) ++(high48 ? paths.pairs : paths.bare);
   const std::size_t n = 2 + rng.below(partition ? 33000 : 4000);
   const auto threads = static_cast<std::uint32_t>(1 + rng.below(6));
   opts.threads = threads;
   opts.seed = rng.next();
 
   auto data = wfsort::exp::make_u64_keys(n, random_dist(rng), rng.next());
+  if (high48) {
+    // The drawn key moves into the compared bits; random low bits make its
+    // repeats equivalent but distinct.
+    for (auto& x : data) x = (x << 16) | rng.below(1u << 16);
+  }
   auto expected = data;
-  std::sort(expected.begin(), expected.end());
+  if (high48) {
+    std::stable_sort(expected.begin(), expected.end(), High48Less{});
+  } else {
+    std::sort(expected.begin(), expected.end());
+  }
 
-  if (rng.coin()) {
+  const auto run = [&](auto cmp) {
+    if (!rng.coin()) {
+      wfsort::sort(std::span<std::uint64_t>(data), opts, nullptr, cmp);
+      return true;
+    }
     wfsort::runtime::FaultPlan plan(threads);
     const auto kills = static_cast<std::uint32_t>(rng.below(threads));  // keep >= 1 alive
     // Partition runs poll about once per element per sweep; reach all three.
@@ -72,19 +105,21 @@ bool fuzz_native_once(Rng& rng, std::uint64_t iter) {
       plan.crash_at(threads - 1 - k, 1 + rng.below(horizon));
     }
     if (rng.coin()) plan.sleep_at(0, 1 + rng.below(100), std::chrono::microseconds(500));
-    if (!wfsort::sort_with_faults(std::span<std::uint64_t>(data), opts, plan)) {
+    if (!wfsort::sort_with_faults(std::span<std::uint64_t>(data), opts, plan, nullptr,
+                                  cmp)) {
       std::printf("iter %llu: no survivor completed (unexpected: %u kills of %u)\n",
                   static_cast<unsigned long long>(iter), kills, threads);
       return false;
     }
-  } else {
-    wfsort::sort(std::span<std::uint64_t>(data), opts);
-  }
+    return true;
+  };
+  if (!(high48 ? run(High48Less{}) : run(std::less<std::uint64_t>{}))) return false;
   if (data != expected) {
     std::printf(
-        "iter %llu: NATIVE SORT WRONG (n=%zu threads=%u variant=%d phase1=%d)\n",
+        "iter %llu: NATIVE SORT WRONG (n=%zu threads=%u variant=%d phase1=%d "
+        "high48=%d)\n",
         static_cast<unsigned long long>(iter), n, threads, static_cast<int>(opts.variant),
-        static_cast<int>(opts.phase1));
+        static_cast<int>(opts.phase1), static_cast<int>(high48));
     return false;
   }
   return true;
@@ -214,10 +249,11 @@ int main(int argc, char** argv) {
 
   Rng rng(flags.u64("seed"));
   const std::uint64_t iters = flags.u64("iters");
+  BucketPaths paths;
   for (std::uint64_t i = 0; i < iters; ++i) {
     bool ok = true;
     switch (i % 3) {
-      case 0: ok = fuzz_native_once(rng, i); break;
+      case 0: ok = fuzz_native_once(rng, i, paths); break;
       case 1: ok = fuzz_sim_once(rng, i); break;
       default: ok = fuzz_script_once(rng, i, flags.str("artifact")); break;
     }
@@ -232,7 +268,10 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(iters));
     }
   }
-  std::printf("fuzz: %llu iterations, all validated\n",
-              static_cast<unsigned long long>(iters));
+  std::printf("fuzz: %llu iterations, all validated (det-partition: %llu bare-key, "
+              "%llu pair draws)\n",
+              static_cast<unsigned long long>(iters),
+              static_cast<unsigned long long>(paths.bare),
+              static_cast<unsigned long long>(paths.pairs));
   return 0;
 }
