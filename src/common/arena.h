@@ -1,22 +1,24 @@
 // RunArena — the recycled storage substrate behind SortPool (ISSUE 10).
 //
-// A sorting run allocates a deterministic sequence of large flat arrays
-// whose sizes depend only on (n, Options): the PackedNode tree, the WAT
-// done-bits, partition scratch, the LC fat-tree planes, copy-back chunk
-// flags.  RunArena exploits that determinism with SLOT MATCHING: the i-th
+// A sorting run allocates a sequence of large flat arrays: the PackedNode
+// tree, the WAT done-bits, partition scratch, the LC fat-tree planes,
+// copy-back chunk flags.  RunArena serves them by SLOT MATCHING: the i-th
 // request of a run is served from the i-th retained buffer.  If the
 // retained buffer is large enough the request costs zero heap traffic
 // (reuse); otherwise the slot is reallocated to the new high-water mark
 // (grow).  begin_run() rewinds the cursor; nothing is ever freed between
-// runs, so a pool that has seen its largest input performs steady-state
-// submits with ZERO heap allocations (test_pool.cpp proves it with a
-// counting operator-new hook).
+// runs, so a pool that has seen its largest input of every shape performs
+// steady-state submits with ZERO heap allocations (test_pool.cpp proves it
+// with a counting operator-new hook).  A SortPool's one arena serves every
+// variant, so slot i may hold what a run of another shape put there: every
+// structure constructs (make) or writes (uninit) its slot before it reads
+// it, and never relies on what the slot held before.
 //
 // The arena is single-owner per run: one thread calls begin_run() and all
 // make<T>() calls happen-before the workers start (the Engine constructor
 // runs on the submitting thread).  Workers only ever touch the returned
 // storage, never the arena itself, so the arena needs no synchronization
-// of its own — SortPool's per-variant busy flag serializes runs.
+// of its own — SortPool's one busy flag serializes the runs on it.
 //
 // Storage is always 64-byte aligned (cache-line isolation is part of the
 // contract: PackedNode and the telemetry scratch rely on it).  Only

@@ -104,9 +104,7 @@ class PhaseClock {
 
 // Below this size the low-contention variant falls back to the
 // deterministic one: with fewer elements than this there is no slice worth
-// pre-sorting and no contention worth spreading.  (Namespace scope, not
-// Engine scope: SortPool's arena-lane selection mirrors the fallback and
-// must not have to name a template instantiation to do it.)
+// pre-sorting and no contention worth spreading.
 inline constexpr std::uint64_t kLcMinN = 64;
 
 // Output copy-back is chunked so finished workers can share it; the
@@ -114,9 +112,10 @@ inline constexpr std::uint64_t kLcMinN = 64;
 inline constexpr std::uint64_t kCopyChunk = 8192;
 
 // Telemetry scratch slots cover every worker id a SortSession can hand
-// out (its kMaxWorkers), not just the nominal thread count — replacement
-// workers get ids past `threads` and must still be recordable.  SortPool
-// sizes its recycled Recorders with the same formula as the Engine.
+// out (SortSession::kMaxWorkers is defined from this), not just the
+// nominal thread count — replacement workers get ids past `threads` and
+// must still be recordable.  SortPool sizes its recycled Recorders with the
+// same formula as the Engine.
 inline constexpr std::uint32_t kTelemetrySlots = 64;
 
 template <typename Key, typename Compare>

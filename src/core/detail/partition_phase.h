@@ -410,7 +410,12 @@ bool sort_bucket(std::vector<T>& scratch, std::int64_t lo, std::int64_t hi, Less
   // Sized once and filled by index: a per-element push_back leaves the
   // gather loop's cost to whether the compiler inlines vector growth into
   // the (large) engine worker, and out of line it is a call per element.
-  scratch.resize(static_cast<std::size_t>(hi - lo));
+  // A growth reserves twice the bucket: the scratch is thread_local, so a
+  // pooled worker that has seen its largest bucket stops allocating, also
+  // on new keys whose buckets come out a little larger.
+  const std::size_t size = static_cast<std::size_t>(hi - lo);
+  if (size > scratch.capacity()) scratch.reserve(2 * size);
+  scratch.resize(size);
   T* items = scratch.data();
   for (std::int64_t s = lo; s < hi; ++s) {
     if (!keep_going()) return false;

@@ -20,103 +20,76 @@ SortPool::~SortPool() {
   workers_.clear();  // join
 }
 
-void SortPool::Lease::release() {
+SortPool::Lease::~Lease() {
   if (!ok_) return;
-  ok_ = false;
-  Lane& l = pool_->lanes_[lane_];
   {
     // Fold this run's arena accounting into the pool-level snapshot while
-    // the lane is still exclusively ours.
+    // the arena is still exclusively ours.
     std::lock_guard<std::mutex> lk(pool_->mu_);
-    pool_->lane_totals_[lane_] = l.arena.totals();
+    pool_->arena_totals_ = pool_->arena_.totals();
   }
-  l.busy.store(false, std::memory_order_release);
-}
-
-SortPool::Slot* SortPool::find_claimable_locked() {
-  for (std::uint64_t p = head_; p < tail_; ++p) {
-    Slot& s = slots_[p % kRunSlots];
-    if (!s.done && !s.quit && s.next_tid < s.max_tid) return &s;
-  }
-  return nullptr;
-}
-
-void SortPool::retire_locked() {
-  while (head_ < tail_ && slots_[head_ % kRunSlots].done) ++head_;
-}
-
-bool SortPool::try_help_locked(std::unique_lock<std::mutex>& lk,
-                               bool counts_wake) {
-  Slot* s = find_claimable_locked();
-  if (s == nullptr) return false;
-  const std::uint32_t tid = s->next_tid++;
-  ++s->active;
-  const std::uint64_t gen = s->gen;
-  if (counts_wake && s->timed && !s->first_claim_seen) {
-    s->first_claim_seen = true;
-    wake_ns_ += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - s->t_submit)
-            .count());
-  }
-  JobFn fn = s->fn;
-  void* ctx = s->ctx;
-  std::atomic<std::uint32_t>* pending = s->pending;
-  const bool detached = s->detached;
-
-  lk.unlock();
-  const bool completed = fn(ctx, tid);
-  lk.lock();
-
-  // The slot cannot have been recycled while our claim was in flight:
-  // retirement requires active == 0 and we held a unit of `active`.
-  WFSORT_CHECK(s->gen == gen);
-  --s->active;
-  if (completed) s->quit = true;
-  if (pending != nullptr) pending->fetch_sub(1, std::memory_order_acq_rel);
-  if (detached && s->active == 0 &&
-      (s->quit || s->next_tid >= s->max_tid)) {
-    s->done = true;
-    retire_locked();
-  }
-  cv_done_.notify_all();
-  return true;
+  pool_->busy_.store(false, std::memory_order_release);
 }
 
 void SortPool::worker_main() {
   std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
-    if (!try_help_locked(lk, /*counts_wake=*/true)) {
+    Slot* s = nullptr;
+    for (std::uint64_t p = head_; p < tail_ && s == nullptr; ++p) {
+      Slot& c = slots_[p % kRunSlots];
+      if (!c.done && !c.quit && c.next_tid < c.max_tid) s = &c;
+    }
+    if (s == nullptr) {
       if (stop_) return;
       cv_work_.wait(lk);
+      continue;
     }
+    const std::uint32_t tid = s->next_tid++;
+    ++s->active;
+    const std::uint64_t gen = s->gen;
+    if (!s->first_claim_seen) {
+      s->first_claim_seen = true;
+      wake_ns_ += static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - s->t_submit)
+              .count());
+    }
+    JobFn fn = s->fn;
+    void* ctx = s->ctx;
+
+    lk.unlock();
+    const bool completed = fn(ctx, tid);
+    lk.lock();
+
+    // The slot cannot have been recycled while our claim was in flight:
+    // retirement requires active == 0 and we held a unit of `active`.
+    WFSORT_CHECK(s->gen == gen);
+    --s->active;
+    if (completed) s->quit = true;
+    cv_done_.notify_all();
   }
 }
 
 SortPool::BlockingRun SortPool::begin_blocking(JobFn fn, void* ctx,
-                                               std::uint32_t tid_begin,
-                                               std::uint32_t tid_end) {
+                                               std::uint32_t workers) {
   std::unique_lock<std::mutex> lk(mu_);
   cv_done_.wait(lk, [&] { return tail_ - head_ < kRunSlots; });
   const std::uint64_t pos = tail_++;
   Slot& s = slots_[pos % kRunSlots];
   s.fn = fn;
   s.ctx = ctx;
-  s.pending = nullptr;
   s.gen = ++gen_;
-  s.next_tid = tid_begin;
-  s.max_tid = tid_end;
+  s.next_tid = 1;
+  s.max_tid = workers;
   s.active = 0;
-  s.quit = tid_begin >= tid_end;  // empty range: nothing to hand out
-  s.detached = false;
+  s.quit = workers <= 1;  // no id to hand out
   s.done = false;
   s.first_claim_seen = false;
-  s.timed = !workers_.empty() && tid_end > tid_begin;
-  if (s.timed) s.t_submit = std::chrono::steady_clock::now();
+  s.t_submit = std::chrono::steady_clock::now();
   lk.unlock();
-  if (tid_end > tid_begin + 1) {
+  if (workers > 2) {
     cv_work_.notify_all();
-  } else if (tid_end > tid_begin) {
+  } else if (workers == 2) {
     cv_work_.notify_one();
   }
   return BlockingRun{pos};
@@ -142,49 +115,9 @@ void SortPool::finish_blocking(BlockingRun h, bool caller_completed) {
   }
   cv_done_.wait(lk, [&] { return s.active == 0; });
   s.done = true;
-  retire_locked();
+  while (head_ < tail_ && slots_[head_ % kRunSlots].done) ++head_;
   lk.unlock();
   cv_done_.notify_all();  // ring space freed
-}
-
-void SortPool::submit_detached(JobFn fn, void* ctx, std::uint32_t tid,
-                               std::atomic<std::uint32_t>* pending) {
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_done_.wait(lk, [&] { return tail_ - head_ < kRunSlots; });
-    const std::uint64_t pos = tail_++;
-    Slot& s = slots_[pos % kRunSlots];
-    s.fn = fn;
-    s.ctx = ctx;
-    s.pending = pending;
-    s.gen = ++gen_;
-    s.next_tid = tid;
-    s.max_tid = tid + 1;
-    s.active = 0;
-    s.quit = false;
-    s.detached = true;
-    s.done = false;
-    s.first_claim_seen = false;
-    s.timed = false;
-    pending->fetch_add(1, std::memory_order_acq_rel);
-    detached_jobs_.fetch_add(1, std::memory_order_relaxed);
-  }
-  cv_work_.notify_one();
-}
-
-void SortPool::wait_pending(std::atomic<std::uint32_t>* pending) {
-  std::unique_lock<std::mutex> lk(mu_);
-  while (pending->load(std::memory_order_acquire) != 0) {
-    // Help: every job that feeds `pending` was submitted before we got
-    // here, so it is either claimable right now (run it ourselves) or in
-    // flight (its finish will signal cv_done_).
-    if (!try_help_locked(lk, /*counts_wake=*/false)) {
-      cv_done_.wait(lk, [&] {
-        return pending->load(std::memory_order_acquire) == 0 ||
-               find_claimable_locked() != nullptr;
-      });
-    }
-  }
 }
 
 PoolStats SortPool::stats() const {
@@ -192,15 +125,12 @@ PoolStats SortPool::stats() const {
   ps.threads = thread_count();
   ps.runs = runs_.load(std::memory_order_relaxed);
   ps.caller_only_runs = caller_only_runs_.load(std::memory_order_relaxed);
-  ps.detached_jobs = detached_jobs_.load(std::memory_order_relaxed);
   ps.bypass_runs = bypass_runs_.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> lk(mu_);
   ps.wake_ns = wake_ns_;
-  for (const RunArena::Totals& t : lane_totals_) {
-    ps.arena_reuse_bytes += t.reuse_bytes;
-    ps.arena_grow_events += t.grow_events;
-    ps.arena_held_bytes += t.held_bytes;
-  }
+  ps.arena_reuse_bytes = arena_totals_.reuse_bytes;
+  ps.arena_grow_events = arena_totals_.grow_events;
+  ps.arena_held_bytes = arena_totals_.held_bytes;
   return ps;
 }
 

@@ -1,5 +1,5 @@
-// SortPool — a process-lifetime runtime of parked worker threads and
-// recycled per-variant RunArenas (ISSUE 10).
+// SortPool — a process-lifetime runtime of parked worker threads and one
+// recycled RunArena (ISSUE 10).
 //
 // The one-shot entry points in sort.h pay the full setup bill on every
 // call: spawn P threads, allocate the pivot-tree / WAT / partition / LC
@@ -11,46 +11,50 @@
 //     under the pool mutex and runs the engine's wait-free program for
 //     that id.  Job slots are epoch-stamped (`gen`) so a claim can assert
 //     it never outlives a recycled slot.
-//   * Three arena lanes — det/tree, det/partition, low-contention — hold
-//     the storage high-water mark of every run shape seen so far.  A
-//     submit leases its variant's lane (single atomic try-acquire),
-//     rewinds the arena, and the Engine borrows every shared structure
-//     from it: steady state performs ZERO heap allocations
-//     (test_pool.cpp counts operator new to prove it).  A contended lane
-//     falls back to a stack-local arena — the cold path, always correct.
-//   * Each lane also recycles a telemetry Recorder (rings and span
-//     vectors keep their buffers between runs) when telemetry is on.
+//   * One arena holds the storage high-water mark of every run shape seen
+//     so far (slot by slot, whatever the variant).  A submit leases it
+//     (single atomic try-acquire), rewinds it, and the Engine borrows every
+//     shared structure from it: steady state performs ZERO heap
+//     allocations (test_pool.cpp counts operator new to prove it).  A
+//     contended arena is bypassed for a stack-local one — the cold path,
+//     always correct.
+//   * The lease also recycles a telemetry Recorder (rings and span vectors
+//     keep their buffers between runs) when telemetry is on.
 //
-// Wait-freedom is a PER-RUN property and the pool preserves it: within a
-// run, a worker that stalls or is fault-killed cannot block the others —
-// the claim protocol only gates who STARTS a worker id, never a step
-// inside the engine.  Across runs the pool is an ordinary blocking queue
-// by design (parked threads are the point).  Because the result is ready
-// as soon as ANY worker finishes (write-once idempotent stores make the
-// output schedule-independent), the submitting thread always participates
-// as worker 0 and never depends on a parked thread showing up: below
-// kCallerOnlyCutoff it doesn't even wake one (the small-N fast path), and
-// on the wake path it drains unclaimed worker ids itself if the pool is
-// short-handed.  docs/native_engine.md "SortPool" has the lifecycle
-// diagram and measured cold-vs-pooled numbers.
+// A pooled run is detail::sort_run (sort.h), the same run as the one-shot
+// entry points; only the arena, the Recorder and the way worker ids reach
+// threads differ.  Wait-freedom is a PER-RUN property and the pool
+// preserves it: within a run, a worker that stalls or is fault-killed
+// cannot block the others — the claim protocol only gates who STARTS a
+// worker id, never a step inside the engine.  Across runs the pool is an
+// ordinary blocking queue by design (parked threads are the point).
+// Because the result is ready as soon as ANY worker finishes (write-once
+// idempotent stores make the output schedule-independent), the submitting
+// thread always participates as worker 0 and never depends on a parked
+// thread showing up: below kCallerOnlyCutoff it doesn't even wake one (the
+// small-N fast path), and on the wake path it drains unclaimed worker ids
+// itself if the pool is short-handed.  docs/native_engine.md "SortPool" has
+// the lifecycle diagram and the measured crossover.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/arena.h"
 #include "common/check.h"
 #include "core/detail/engine.h"
-#include "core/detail/run_glue.h"
 #include "core/options.h"
+#include "core/sort.h"
 #include "runtime/fault_plan.h"
 #include "telemetry/recorder.h"
 
@@ -62,8 +66,7 @@ struct PoolStats {
   std::uint32_t threads = 0;           // parked workers
   std::uint64_t runs = 0;              // sorts driven through the pool
   std::uint64_t caller_only_runs = 0;  // small-N fast path (no worker wake)
-  std::uint64_t detached_jobs = 0;     // session submits executed
-  std::uint64_t bypass_runs = 0;       // lane contended -> one-shot arena
+  std::uint64_t bypass_runs = 0;       // arena contended -> one-shot arena
   std::uint64_t arena_reuse_bytes = 0; // bytes served from retained buffers
   std::uint64_t arena_grow_events = 0; // retained-slot (re)allocations
   std::uint64_t arena_held_bytes = 0;  // current retained footprint
@@ -72,18 +75,22 @@ struct PoolStats {
 
 class SortPool {
  public:
-  // One unit of pool work: run the job's worker program as id `tid`.
-  // Returns true if this invocation COMPLETED the job (for a sort: the
-  // engine's result is ready) — the pool then stops handing out further
-  // ids for the job.
-  using JobFn = bool (*)(void* ctx, std::uint32_t tid);
-
   // Below this input size a pooled sort never wakes a worker: the
   // submitting thread runs worker 0 to completion (wait-freedom makes one
   // worker always sufficient), turning a small-N sort into a plain
-  // function call over warm storage.  Measured crossover on the tracked
-  // bench host (docs/native_engine.md).
-  static constexpr std::uint64_t kCallerOnlyCutoff = std::uint64_t{1} << 15;
+  // function call over warm storage.  Median per-call wall on a 4-vCPU
+  // host (det-partition, t = 4, 400 alternating pooled and cold calls per
+  // size, 4 runs):
+  //
+  //   N     caller-only     wake path
+  //   2^14  0.83-0.91 ms    0.50-0.58 ms
+  //   2^13  0.47-0.50 ms    0.34-0.36 ms
+  //   2^12  0.14-0.22 ms    0.25 ms
+  //
+  // A new pool plus its first call at 2^14 took 0.88-1.19 ms caller-only
+  // against 0.64-0.66 ms on the wake path.  2^10 runs caller-only either
+  // way.
+  static constexpr std::uint64_t kCallerOnlyCutoff = std::uint64_t{1} << 13;
 
   // In-flight job slots (a ring; submits block when all are pending).
   static constexpr std::uint32_t kRunSlots = 128;
@@ -101,26 +108,15 @@ class SortPool {
   template <typename T, typename Compare = std::less<T>>
   void sort(std::span<T> data, const Options& opts = {},
             SortStats* stats = nullptr, Compare cmp = Compare{}) {
-    run_to_completion<T, Compare>(data, opts, stats, nullptr, cmp);
+    run(data, opts, stats, cmp, nullptr);
   }
 
   template <typename T, typename Compare = std::less<T>>
   bool sort_with_faults(std::span<T> data, const Options& opts,
                         runtime::FaultPlan& plan, SortStats* stats = nullptr,
                         Compare cmp = Compare{}) {
-    return run_to_completion<T, Compare>(data, opts, stats, &plan, cmp);
+    return run(data, opts, stats, cmp, &plan);
   }
-
-  // Fire-and-return a single worker-id job (SortSession's spawn_worker).
-  // `*pending` is incremented now and decremented when the job has run;
-  // pair with wait_pending().  `ctx` must stay valid until then.
-  void submit_detached(JobFn fn, void* ctx, std::uint32_t tid,
-                       std::atomic<std::uint32_t>* pending);
-
-  // Block until `*pending` drops to zero.  The calling thread HELPS: while
-  // waiting it claims and executes queued jobs (its own session's or
-  // anyone's), so progress never depends on the pool having free workers.
-  void wait_pending(std::atomic<std::uint32_t>* pending);
 
   std::uint32_t thread_count() const {
     return static_cast<std::uint32_t>(workers_.size());
@@ -129,83 +125,65 @@ class SortPool {
   PoolStats stats() const;
 
  private:
-  // One queued job.  All fields are guarded by mu_; execution of fn
-  // happens outside the lock.  A slot is recycled (ring position reused)
-  // only after `done`, which requires active == 0 — gen is the stamp a
-  // claim uses to assert that invariant held.
+  // One unit of pool work: run the job's worker program as id `tid`.
+  // Returns true if this invocation COMPLETED the job (the engine's result
+  // is ready) — the pool then stops handing out further ids for the job.
+  using JobFn = bool (*)(void* ctx, std::uint32_t tid);
+
+  // One blocking run's worker ids.  All fields are guarded by mu_;
+  // execution of fn happens outside the lock.  A slot is recycled (ring
+  // position reused) only after `done`, which requires active == 0 — gen
+  // is the stamp a claim uses to assert that invariant held.
   struct Slot {
     JobFn fn = nullptr;
     void* ctx = nullptr;
-    std::atomic<std::uint32_t>* pending = nullptr;  // detached jobs only
     std::uint64_t gen = 0;
     std::uint32_t next_tid = 0;  // ids [next_tid, max_tid) still unclaimed
     std::uint32_t max_tid = 0;
     std::uint32_t active = 0;    // claims currently executing
     bool quit = false;           // some claim completed the job
-    bool detached = false;
     bool done = false;           // retired; ring slot reusable
-    bool timed = false;          // first worker claim feeds wake_ns_
-    bool first_claim_seen = false;
+    bool first_claim_seen = false;  // the first claim fed wake_ns_
     std::chrono::steady_clock::time_point t_submit{};
   };
 
-  // One recycled arena (plus cached Recorder) per engine variant.  `busy`
-  // serializes runs on the lane; a contended lane is bypassed, never
-  // waited on.
-  struct Lane {
-    std::atomic<bool> busy{false};
-    RunArena arena;
-    std::unique_ptr<telemetry::Recorder> recorder;
-  };
-  static constexpr int kLaneDetTree = 0;
-  static constexpr int kLaneDetPartition = 1;
-  static constexpr int kLaneLc = 2;
-  static constexpr int kLanes = 3;
-
-  // RAII lease of a lane; released (and the lane's arena totals folded
-  // into the pool counters) on destruction — which the pooled sort path
+  // RAII lease of the arena and its Recorder; released (and the arena
+  // totals folded into the pool counters) on destruction — which run()
   // sequences strictly AFTER Engine destruction, because the engine's
   // teardown still touches arena-resident objects.
   class Lease {
    public:
-    Lease(SortPool* pool, int lane)
+    explicit Lease(SortPool* pool)
         : pool_(pool),
-          lane_(lane),
-          ok_(!pool->lanes_[lane].busy.exchange(true,
-                                                std::memory_order_acquire)) {}
-    ~Lease() { release(); }
+          ok_(!pool->busy_.exchange(true, std::memory_order_acquire)) {}
+    ~Lease();
     Lease(const Lease&) = delete;
     Lease& operator=(const Lease&) = delete;
 
     bool ok() const { return ok_; }
 
     RunArena* begin_run() {
-      Lane& l = pool_->lanes_[lane_];
-      l.arena.begin_run();
-      return &l.arena;
+      pool_->arena_.begin_run();
+      return &pool_->arena_;
     }
 
     // A reuse()-armed, shape-matched Recorder for this run (rebuilt only
-    // when the required shape changed since the lane's last telemetry run).
+    // when the required shape changed since the last telemetry run).
     telemetry::Recorder* prepare_recorder(const Options& opts) {
-      Lane& l = pool_->lanes_[lane_];
+      std::unique_ptr<telemetry::Recorder>& rec = pool_->recorder_;
       const std::uint32_t slots =
           std::max(opts.resolved_threads(), detail::kTelemetrySlots);
-      if (l.recorder == nullptr ||
-          !l.recorder->shape_matches(slots, opts.ring_capacity)) {
-        l.recorder = std::make_unique<telemetry::Recorder>(
-            opts.telemetry, slots, opts.ring_capacity);
+      if (rec == nullptr || !rec->shape_matches(slots, opts.ring_capacity)) {
+        rec = std::make_unique<telemetry::Recorder>(opts.telemetry, slots,
+                                                    opts.ring_capacity);
       } else {
-        l.recorder->reuse(opts.telemetry);
+        rec->reuse(opts.telemetry);
       }
-      return l.recorder.get();
+      return rec.get();
     }
-
-    void release();
 
    private:
     SortPool* pool_;
-    int lane_;
     bool ok_;
   };
 
@@ -213,42 +191,30 @@ class SortPool {
     std::uint64_t pos = 0;
   };
 
-  // The arena lane a run of this shape allocates from — mirrors the
-  // Engine's effective-variant fallback exactly, because each lane's
-  // retained slots assume one deterministic allocation sequence family.
-  static int lane_for(const Options& opts, std::uint64_t n) {
-    if (opts.variant == Variant::kLowContention && n >= detail::kLcMinN) {
-      return kLaneLc;
-    }
-    if (opts.phase1 == Phase1::kPartition && n > 1) return kLaneDetPartition;
-    return kLaneDetTree;
-  }
-
-  // Type-erased trampoline a pooled sort hands to the job slots.
-  template <typename T, typename Compare>
+  // Type-erased trampoline a pooled sort hands to the job slots.  `Plan`
+  // stays a type down to here, so the fault-free instantiation calls
+  // run_worker with a compile-time nullptr, as run_workers does.
+  template <typename T, typename Compare, typename Plan>
   struct EngineCtx {
     detail::Engine<T, Compare>* engine;
-    runtime::FaultPlan* plan;
+    Plan plan;
     static bool entry(void* self, std::uint32_t tid) {
       auto* c = static_cast<EngineCtx*>(self);
       return c->engine->run_worker(tid, c->plan);
     }
   };
 
-  // The one pooled run shape: lease the lane, build the engine on the
-  // leased arena, drive it (caller-only or wake path), tear down in the
-  // right order.  `plan` null = plain sort (cannot fail).
-  template <typename T, typename Compare>
-  bool run_to_completion(std::span<T> data, const Options& opts,
-                         SortStats* stats, runtime::FaultPlan* plan,
-                         Compare cmp) {
-    const std::uint32_t workers = opts.resolved_threads();
-    const bool monitored = detail::monitor_wanted(opts);
-    const auto t_start = monitored ? std::chrono::steady_clock::now()
-                                   : std::chrono::steady_clock::time_point{};
-    Lease lease(this, lane_for(opts, data.size()));
-    RunArena bypass;  // cold storage for the (rare) contended-lane case
-    RunArena* arena;
+  // The pooled run: lease the arena (or bypass it), then detail::sort_run
+  // driven the pool's way: the caller runs worker 0 alone (small N, no
+  // fault plan), or publishes ids 1..workers-1 to the parked workers, runs
+  // worker 0 itself and then drains what nobody claimed.  `plan` is nullptr
+  // (a plain sort, which cannot fail) or a FaultPlan*.
+  template <typename T, typename Compare, typename Plan>
+  bool run(std::span<T> data, const Options& opts, SortStats* stats,
+           Compare cmp, Plan plan) {
+    Lease lease(this);
+    RunArena bypass;  // cold storage for the (rare) contended-arena case
+    RunArena* arena = &bypass;
     telemetry::Recorder* rec = nullptr;
     if (lease.ok()) {
       arena = lease.begin_run();
@@ -256,63 +222,43 @@ class SortPool {
         rec = lease.prepare_recorder(opts);
       }
     } else {
-      arena = &bypass;
       bypass_runs_.fetch_add(1, std::memory_order_relaxed);
     }
-    bool ok;
-    {
-      detail::Engine<T, Compare> engine(data, cmp, opts,
-                                        /*assemble_into_data=*/true, arena,
-                                        rec);
-      auto monitor = monitored ? detail::make_monitor(engine.recorder(), opts,
-                                                      data.size())
-                               : nullptr;
-      // Fault runs always take the wake path: the plan's kill schedule is
-      // written against multiple live worker ids.
-      const bool caller_only =
-          plan == nullptr &&
-          (workers <= 1 || data.size() < kCallerOnlyCutoff ||
-           workers_.empty());
-      if (caller_only) {
-        engine.run_worker(0);
-        caller_only_runs_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        EngineCtx<T, Compare> ctx{&engine, plan};
-        const BlockingRun h =
-            begin_blocking(&EngineCtx<T, Compare>::entry, &ctx, 1, workers);
-        const bool mine = engine.run_worker(0, plan);
-        finish_blocking(h, mine);
-      }
-      ok = engine.result_ready();
-      if (ok) {
-        engine.finalize();
-      } else {
-        engine.snapshot_telemetry();  // partial timeline for fault tooling
-      }
-      detail::finish_monitor(monitor.get(), t_start);
-      if (stats != nullptr) *stats = engine.stats();
-    }  // ~Engine runs arena-resident destructors — BEFORE the lane is freed
+    // sort_run destroys the Engine before it returns, i.e. before ~Lease.
+    const bool ok = detail::sort_run(
+        data, opts, stats, cmp, arena, rec,
+        [this, &opts, plan](detail::Engine<T, Compare>& engine) {
+          const std::uint32_t workers = opts.resolved_threads();
+          // Fault runs always take the wake path: the plan's kill schedule
+          // is written against multiple live worker ids.
+          constexpr bool kFaulted = !std::is_same_v<Plan, std::nullptr_t>;
+          if (!kFaulted && (workers <= 1 || engine.size() < kCallerOnlyCutoff ||
+                            workers_.empty())) {
+            engine.run_worker(0);
+            caller_only_runs_.fetch_add(1, std::memory_order_relaxed);
+            return;
+          }
+          EngineCtx<T, Compare, Plan> ctx{&engine, plan};
+          const BlockingRun h =
+              begin_blocking(&decltype(ctx)::entry, &ctx, workers);
+          finish_blocking(h, engine.run_worker(0, plan));
+        });
     runs_.fetch_add(1, std::memory_order_relaxed);
     return ok;
   }
 
-  // Enqueue a job handing out worker ids [tid_begin, tid_end) to parked
-  // workers and wake them.  The caller runs its own id (0) directly and
-  // then calls finish_blocking.
-  BlockingRun begin_blocking(JobFn fn, void* ctx, std::uint32_t tid_begin,
-                             std::uint32_t tid_end);
+  // Enqueue a job handing out worker ids [1, workers) to parked workers
+  // and wake them.  The caller runs its own id (0) directly and then calls
+  // finish_blocking.
+  BlockingRun begin_blocking(JobFn fn, void* ctx, std::uint32_t workers);
 
   // Close out a blocking run: stop further claims if the caller already
   // completed the job, drain still-unclaimed ids on the calling thread,
   // wait for in-flight claims, retire the slot.
   void finish_blocking(BlockingRun h, bool caller_completed);
 
+  // Parked worker loop: claim + execute one id of the oldest claimable run.
   void worker_main();
-  Slot* find_claimable_locked();
-  // Claim + execute one queued job if any; true if something ran.
-  // `counts_wake` marks a parked-worker claim (feeds wake_ns_).
-  bool try_help_locked(std::unique_lock<std::mutex>& lk, bool counts_wake);
-  void retire_locked();
 
   mutable std::mutex mu_;
   std::condition_variable cv_work_;  // parked workers <- new claimable jobs
@@ -325,17 +271,20 @@ class SortPool {
   std::uint64_t wake_ns_ = 0;  // guarded by mu_
   std::vector<std::jthread> workers_;
 
-  Lane lanes_[kLanes];
-  RunArena::Totals lane_totals_[kLanes];  // last-release snapshots (mu_)
+  // The recycled storage; `busy_` serializes runs on it.  A contended
+  // arena is bypassed, never waited on.
+  std::atomic<bool> busy_{false};
+  RunArena arena_;
+  std::unique_ptr<telemetry::Recorder> recorder_;
+  RunArena::Totals arena_totals_;  // last-release snapshot (mu_)
 
   std::atomic<std::uint64_t> runs_{0};
   std::atomic<std::uint64_t> caller_only_runs_{0};
-  std::atomic<std::uint64_t> detached_jobs_{0};
   std::atomic<std::uint64_t> bypass_runs_{0};
 };
 
-// The lazily-created process-wide pool SortSession and the CLI route
-// through.  First call spawns the workers; subsequent calls are a load.
+// The lazily-created process-wide pool the CLI routes through.  First call
+// spawns the workers; subsequent calls are a load.
 SortPool& default_pool();
 
 }  // namespace wfsort

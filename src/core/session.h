@@ -12,26 +12,22 @@
 // finished, the calling thread completes the sort itself — wait-freedom
 // makes that always possible and always safe.
 //
-// Worker threads come from the process-wide SortPool (pool.h) rather than
-// per-call std::jthreads: spawn_worker enqueues a detached pool job for the
-// new worker id, and wait() drains the session's outstanding jobs — helping
-// to execute them on the calling thread if the pool is short-handed, so the
-// join semantics (and the reap-all edge cases in test_session.cpp) are
-// unchanged.  The engine keeps its own private arena: a session lives
-// arbitrarily long and must not hold a pool lane hostage.
+// Each spawned worker is a std::jthread of its own: the paper's spawn and
+// reap, on real threads.  The engine keeps a private arena, since a session
+// lives arbitrarily long.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
+#include <thread>
+#include <vector>
 
 #include "common/check.h"
 #include "core/detail/engine.h"
 #include "core/options.h"
-#include "core/pool.h"
 #include "runtime/fault_plan.h"
 
 namespace wfsort {
@@ -39,27 +35,26 @@ namespace wfsort {
 template <typename T, typename Compare = std::less<T>>
 class SortSession {
  public:
-  // Maximum workers over the session's lifetime (spawned ids are never
-  // reused; the cap sizes the fault-plan and WAT spreading).
-  static constexpr std::uint32_t kMaxWorkers = 64;
+  // Maximum spawned workers over the session's lifetime.  Ids are never
+  // reused and each one needs a telemetry scratch slot; the last slot's id,
+  // kMaxWorkers, is reserved for wait() finishing a fully reaped sort.
+  static constexpr std::uint32_t kMaxWorkers = detail::kTelemetrySlots - 1;
 
   explicit SortSession(std::span<T> data, Options opts = {}, Compare cmp = Compare{})
-      : engine_(data, cmp, opts), plan_(kMaxWorkers), pool_(&default_pool()) {}
+      : engine_(data, cmp, opts), plan_(kMaxWorkers) {}
 
   ~SortSession() { wait(); }
 
   SortSession(const SortSession&) = delete;
   SortSession& operator=(const SortSession&) = delete;
 
-  // Add a worker; returns its id (usable with reap_worker).  The worker is
-  // a detached pool job, picked up by a parked pool thread (or by wait()'s
-  // help loop).
+  // Add a worker thread; returns its id (usable with reap_worker).
   std::uint32_t spawn_worker() {
     std::lock_guard<std::mutex> lock(mu_);
     WFSORT_CHECK(!finalized_);
     WFSORT_CHECK(next_tid_ < kMaxWorkers);
     const std::uint32_t tid = next_tid_++;
-    pool_->submit_detached(&SortSession::run_entry, this, tid, &pending_);
+    threads_.emplace_back([this, tid] { engine_.run_worker(tid, &plan_); });
     return tid;
   }
 
@@ -76,9 +71,8 @@ class SortSession {
   void wait() {
     std::lock_guard<std::mutex> lock(mu_);
     if (finalized_) return;
-    pool_->wait_pending(&pending_);  // "join": every submitted job has run
+    threads_.clear();  // join
     if (!engine_.result_ready()) {
-      WFSORT_CHECK(next_tid_ < kMaxWorkers);
       engine_.run_worker(next_tid_++);  // no plan: runs to completion
     }
     engine_.finalize();
@@ -95,16 +89,10 @@ class SortSession {
   }
 
  private:
-  static bool run_entry(void* self, std::uint32_t tid) {
-    auto* s = static_cast<SortSession*>(self);
-    return s->engine_.run_worker(tid, &s->plan_);
-  }
-
   detail::Engine<T, Compare> engine_;
   runtime::FaultPlan plan_;
-  SortPool* pool_;
   std::mutex mu_;
-  std::atomic<std::uint32_t> pending_{0};
+  std::vector<std::jthread> threads_;
   std::uint32_t next_tid_ = 0;
   bool finalized_ = false;
 };

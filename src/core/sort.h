@@ -20,11 +20,12 @@
 #include <thread>
 #include <vector>
 
+#include "common/arena.h"
 #include "core/detail/engine.h"
-#include "core/detail/run_glue.h"
 #include "core/options.h"
 #include "runtime/fault_plan.h"
 #include "telemetry/monitor.h"
+#include "telemetry/recorder.h"
 
 namespace wfsort {
 
@@ -49,21 +50,47 @@ void run_workers(Engine<T, Compare>& engine, std::uint32_t workers,
   }
 }
 
-// The one-shot run behind sort and sort_with_faults: build the engine, run
-// the workers under `plan` (a FaultPlan*, or nullptr for no faults) and
-// deliver the output if some worker completed.  Returns whether one did.
-template <typename T, typename Compare, typename Plan>
-bool sort_run(std::span<T> data, const Options& opts, Plan plan, SortStats* stats,
-              Compare cmp) {
-  // With telemetry off there is no Recorder, hence no monitor: skip the
-  // clock read and the monitor plumbing entirely on the untraced path.
-  const bool monitored = monitor_wanted(opts);
+// Build and start the run's live monitor over the engine's Recorder.
+// Returns null — and the sort runs exactly as before — when there is no
+// Recorder (N <= 1) or the sink cannot be opened.
+inline std::unique_ptr<telemetry::Monitor> start_monitor(
+    const telemetry::Recorder* rec, const Options& opts, std::uint64_t n) {
+  if (rec == nullptr) return nullptr;
+  telemetry::Monitor::Config cfg;
+  cfg.path = opts.monitor_path;
+  cfg.interval_ms = opts.monitor_interval_ms;
+  cfg.source = "native";
+  cfg.config.set("variant",
+                 opts.variant == Variant::kLowContention ? "lc" : "det");
+  cfg.config.set("n", static_cast<std::int64_t>(n));
+  cfg.config.set("threads", static_cast<std::int64_t>(opts.resolved_threads()));
+  cfg.config.set("seed", static_cast<std::int64_t>(opts.seed));
+  cfg.config.set("ring_capacity", static_cast<std::int64_t>(opts.ring_capacity));
+  auto mon = std::make_unique<telemetry::Monitor>(rec, std::move(cfg));
+  if (!mon->ok()) return nullptr;
+  mon->start();
+  return mon;
+}
+
+// The one run of every blocking entry point (sort and sort_with_faults here,
+// SortPool's two in pool.h): build the engine over `arena` and `rec` (null:
+// the engine makes its own), let `drive(engine)` run workers until none is
+// left running, and deliver the output if some worker completed.  Returns
+// whether one did.
+template <typename T, typename Compare, typename Drive>
+bool sort_run(std::span<T> data, const Options& opts, SortStats* stats, Compare cmp,
+              RunArena* arena, telemetry::Recorder* rec, Drive drive) {
+  // A live monitor needs telemetry on (so the engine holds a Recorder), a
+  // sink path and a sampling interval; every other run skips the clock read
+  // and the monitor plumbing entirely.
+  const bool monitored = opts.telemetry != telemetry::Level::kOff &&
+                         opts.monitor_interval_ms != 0 && !opts.monitor_path.empty();
   const auto t_start = monitored ? std::chrono::steady_clock::now()
                                  : std::chrono::steady_clock::time_point{};
-  Engine<T, Compare> engine(data, cmp, opts);
+  Engine<T, Compare> engine(data, cmp, opts, /*assemble_into_data=*/true, arena, rec);
   auto monitor =
-      monitored ? make_monitor(engine.recorder(), opts, data.size()) : nullptr;
-  run_workers(engine, opts.resolved_threads(), plan);
+      monitored ? start_monitor(engine.recorder(), opts, data.size()) : nullptr;
+  drive(engine);
   const bool ok = engine.result_ready();
   if (ok) {
     engine.finalize();
@@ -72,7 +99,12 @@ bool sort_run(std::span<T> data, const Options& opts, Plan plan, SortStats* stat
     // spans of the crashed workers) is still wanted by the fault tooling.
     engine.snapshot_telemetry();
   }
-  finish_monitor(monitor.get(), t_start);
+  if (monitor != nullptr) {
+    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+        std::chrono::steady_clock::now() - t_start);
+    monitor->note_job(static_cast<std::uint64_t>(us.count()));
+    monitor->stop();
+  }
   if (stats != nullptr) *stats = engine.stats();
   return ok;
 }
@@ -83,7 +115,9 @@ bool sort_run(std::span<T> data, const Options& opts, Plan plan, SortStats* stat
 template <typename T, typename Compare = std::less<T>>
 void sort(std::span<T> data, const Options& opts = {}, SortStats* stats = nullptr,
           Compare cmp = Compare{}) {
-  detail::sort_run(data, opts, nullptr, stats, cmp);
+  detail::sort_run(data, opts, stats, cmp, nullptr, nullptr, [&opts](auto& engine) {
+    detail::run_workers(engine, opts.resolved_threads());
+  });
 }
 
 // Sort under a fault plan (crashes / page-fault sleeps injected into chosen
@@ -93,7 +127,10 @@ void sort(std::span<T> data, const Options& opts = {}, SortStats* stats = nullpt
 template <typename T, typename Compare = std::less<T>>
 bool sort_with_faults(std::span<T> data, const Options& opts, runtime::FaultPlan& plan,
                       SortStats* stats = nullptr, Compare cmp = Compare{}) {
-  return detail::sort_run(data, opts, &plan, stats, cmp);
+  return detail::sort_run(data, opts, stats, cmp, nullptr, nullptr,
+                          [&opts, &plan](auto& engine) {
+                            detail::run_workers(engine, opts.resolved_threads(), &plan);
+                          });
 }
 
 // Compute the sorting permutation without moving the data: perm[rank] is
@@ -129,7 +166,6 @@ class Sorter {
       : opts_(opts), cmp_(cmp) {}
 
   void operator()(std::span<T> data) { sort(data, opts_, &last_stats_, cmp_); }
-  void sort_span(std::span<T> data) { (*this)(data); }
 
   const Options& options() const { return opts_; }
   const SortStats& last_stats() const { return last_stats_; }

@@ -512,11 +512,10 @@ bool validate_bench_json(const Json& doc, std::string* error,
       return false;
     }
     static constexpr const char* kPoolKeys[] = {
-        "threads",         "runs",
-        "caller_only_runs", "detached_jobs",
-        "bypass_runs",     "arena_reuse_bytes",
-        "arena_grow_events", "arena_held_bytes",
-        "wake_ns"};
+        "threads",           "runs",
+        "caller_only_runs",  "bypass_runs",
+        "arena_reuse_bytes", "arena_grow_events",
+        "arena_held_bytes",  "wake_ns"};
     for (const char* key : kPoolKeys) {
       if (!check_key(*pool, key, Json::Type::kInt, error)) {
         *error = "pool: " + *error;

@@ -108,7 +108,7 @@ bool validate_stats_json(const Json& doc, std::string* error,
 // measurement caveats ONCE per envelope (e.g. the distro libbenchmark note)
 // instead of as per-document footnotes.  `wfsort bench --pool` additionally
 // sets an optional "pool" object: the SortPool lifetime counters (threads,
-// runs, caller_only_runs, detached_jobs, bypass_runs, arena_reuse_bytes,
+// runs, caller_only_runs, bypass_runs, arena_reuse_bytes,
 // arena_grow_events, arena_held_bytes, wake_ns) and, under --back-to-back,
 // a "small_n" array of cold-vs-pooled latency rows
 // ({n, threads, reps, cold_ms, pooled_ms, speedup}).

@@ -7,11 +7,12 @@
 //     knobs — each compared element-for-element against a cold
 //     wfsort::sort of the same input.
 //   * Fault recycling: a staggered-kills adversary run through the pool
-//     must not poison its arena lane — the next clean pooled run on the
-//     same lane must succeed and match cold output.
-//   * Zero steady-state allocations: once a lane has seen its high-water
-//     shape, a telemetry-off caller-only submit performs NO heap
-//     allocations (counted by the global operator-new hooks below).  The
+//     must not poison its arena — the next clean pooled run on the same
+//     arena must succeed and match cold output.
+//   * Zero steady-state allocations: once the pool's one arena has seen
+//     the high-water shape of every variant, a telemetry-off caller-only
+//     submit of any variant performs NO heap allocations (counted by the
+//     global operator-new hooks below).  The
 //     worker-wake path asserts the weaker arena-level invariant (no grow
 //     events) because a parked worker's thread-local warmup is
 //     schedule-dependent.
@@ -159,8 +160,8 @@ TEST(SortPoolGolden, BackToBackLowContentionMatchesCold) {
 }
 
 // Non-default knobs change the arena allocation shapes (batching, leaf
-// cutoffs, fat-tree copies) — reuse must stay correct across them, and a
-// lane must tolerate knob changes BETWEEN runs.
+// cutoffs, fat-tree copies) — reuse must stay correct across them, and the
+// arena must tolerate knob changes BETWEEN runs.
 TEST(SortPoolGolden, NonDefaultKnobsAndKnobChangesBetweenRuns) {
   SortPool pool(4);
   Options tuned_det = det_tree_opts();
@@ -181,8 +182,9 @@ TEST(SortPoolGolden, NonDefaultKnobsAndKnobChangesBetweenRuns) {
   }
 }
 
-// The three variants map to three independent arena lanes; interleaving
-// them back-to-back must not cross-contaminate retained storage.
+// The three variants share the pool's one arena: each run starts on the
+// slots (and stale bytes) another variant's run left behind, and
+// interleaving them back-to-back must not cross-contaminate the output.
 TEST(SortPoolGolden, InterleavedVariantsShareOnePool) {
   SortPool pool(4);
   std::uint64_t seed = 500;
@@ -197,7 +199,7 @@ TEST(SortPoolGolden, InterleavedVariantsShareOnePool) {
 // A staggered-kills adversary run through the pool: workers die at spread
 // checkpoints, the run still completes (wait-freedom is per-run and the
 // caller drains unclaimed ids), and — the recycling claim — the next clean
-// runs on the SAME lane reuse the killed run's arena slots safely.
+// runs reuse the killed run's arena slots safely.
 TEST(SortPoolFaults, StaggeredKillsThenCleanReuse) {
   SortPool pool(4);
   const Options opts = det_tree_opts();
@@ -217,7 +219,7 @@ TEST(SortPoolFaults, StaggeredKillsThenCleanReuse) {
   EXPECT_EQ(pooled, cold);
   EXPECT_GE(stats.crashed_workers, 1u);
 
-  // Clean pooled reuse of the lane the killed run just used — shrink and
+  // Clean pooled reuse of the arena the killed run just used — shrink and
   // grow to walk the recycled slots both ways.
   std::uint64_t seed = 700;
   for (const std::size_t n : {20000u, 500u, 50000u}) {
@@ -227,7 +229,7 @@ TEST(SortPoolFaults, StaggeredKillsThenCleanReuse) {
 
 // Everybody dies: the pooled fault run reports failure exactly like the
 // cold path (data untouched is the cold contract; here we only require the
-// failure report and that the lane recovers).
+// failure report and that the arena recovers).
 TEST(SortPoolFaults, AllWorkersKilledReportsFailureAndLaneRecovers) {
   SortPool pool(2);
   Options opts;
@@ -249,7 +251,7 @@ TEST(SortPoolFaults, AllWorkersKilledReportsFailureAndLaneRecovers) {
 TEST(SortPoolFaults, PooledRunStaysInsideOwnStepBudget) {
   SortPool pool(4);
   const std::size_t n = 4096;
-  // Warm the lane so the certified run is a steady-state (recycled) one.
+  // Warm the arena so the certified run is a steady-state (recycled) one.
   for (int i = 0; i < 2; ++i) {
     std::vector<std::uint64_t> v = random_values(n, 850 + i);
     pool.sort(std::span<std::uint64_t>(v), det_tree_opts());
@@ -269,27 +271,42 @@ TEST(SortPoolFaults, PooledRunStaysInsideOwnStepBudget) {
 }
 
 // Steady state, caller-only path (small N, telemetry off, no stats): zero
-// heap allocations per submit, proven by the operator-new hooks.
+// heap allocations per submit, proven by the operator-new hooks.  The three
+// variants interleave on the pool's one arena, whose slots each grow to the
+// largest request any variant makes of them; the measured inputs are fresh,
+// so neither the arena nor the calling thread's worker scratch (DFS stacks,
+// det-partition's bucket scratch) may grow with the keys.
 TEST(SortPoolAlloc, SteadyStateCallerOnlySubmitMakesZeroAllocations) {
   SortPool pool(2);
-  const std::size_t n = std::size_t{1} << 13;  // well under kCallerOnlyCutoff
-  // Warm the lane (first run sizes the arena slots) and the calling
-  // thread's worker scratch (thread-local stacks).
-  for (int i = 0; i < 3; ++i) {
-    std::vector<std::uint64_t> v = random_values(n, 900 + i);
-    pool.sort(std::span<std::uint64_t>(v));
-    ASSERT_TRUE(std::is_sorted(v.begin(), v.end()));
-  }
-  for (int i = 0; i < 5; ++i) {
-    std::vector<std::uint64_t> v = random_values(n, 910 + i);
-    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
-    pool.sort(std::span<std::uint64_t>(v));
-    const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
-    EXPECT_EQ(after - before, 0u) << "steady-state submit " << i;
-    ASSERT_TRUE(std::is_sorted(v.begin(), v.end()));
+  const Options shapes[] = {det_tree_opts(), det_partition_opts(), lc_opts()};
+  // Just under the cutoff (three det-partition buckets), then half of it
+  // (two).
+  for (const std::size_t n :
+       {SortPool::kCallerOnlyCutoff - 1, SortPool::kCallerOnlyCutoff / 2}) {
+    // Warm the arena and the calling thread's worker scratch.
+    for (int i = 0; i < 3; ++i) {
+      for (const Options& opts : shapes) {
+        std::vector<std::uint64_t> v = random_values(n, 900 + i);
+        pool.sort(std::span<std::uint64_t>(v), opts);
+        ASSERT_TRUE(std::is_sorted(v.begin(), v.end()));
+      }
+    }
+    for (int i = 0; i < 5; ++i) {
+      for (const Options& opts : shapes) {
+        std::vector<std::uint64_t> v = random_values(n, 910 + i);
+        const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+        pool.sort(std::span<std::uint64_t>(v), opts);
+        const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+        EXPECT_EQ(after - before, 0u)
+            << "n " << n << " steady-state submit " << i << " variant "
+            << static_cast<int>(opts.variant) << " phase1 "
+            << static_cast<int>(opts.phase1);
+        ASSERT_TRUE(std::is_sorted(v.begin(), v.end()));
+      }
+    }
   }
   const PoolStats ps = pool.stats();
-  EXPECT_EQ(ps.caller_only_runs, 8u);
+  EXPECT_EQ(ps.caller_only_runs, 48u);
   EXPECT_EQ(ps.bypass_runs, 0u);
   EXPECT_GT(ps.arena_reuse_bytes, 0u);
 }
@@ -318,7 +335,7 @@ TEST(SortPoolAlloc, SteadyStateWakePathArenaStopsGrowing) {
   EXPECT_GT(ps.arena_reuse_bytes, 0u);
 }
 
-// Telemetry-on pooled runs recycle the lane's Recorder (rings and span
+// Telemetry-on pooled runs recycle the pool's Recorder (rings and span
 // vectors keep their buffers) and still produce a coherent report.
 TEST(SortPoolTelemetry, RecorderIsRecycledAcrossPooledRuns) {
   SortPool pool(2);
@@ -342,7 +359,7 @@ TEST(SortPoolTelemetry, RecorderIsRecycledAcrossPooledRuns) {
 }
 
 // The default pool is a process singleton and serves concurrent submitters
-// (lane contention falls back to the bypass arena, never blocks).
+// (arena contention falls back to the bypass arena, never blocks).
 TEST(SortPoolConcurrency, ParallelSubmittersOnOnePool) {
   SortPool pool(2);
   constexpr int kThreads = 4;
@@ -365,11 +382,11 @@ TEST(SortPoolConcurrency, ParallelSubmittersOnOnePool) {
   EXPECT_EQ(pool.stats().runs, 32u);
 }
 
-// Per-variant shared state, measured where the pool keeps it: a det/partition
-// lane holds only the partition's arrays (key copy, bucket ids, scattered
-// pairs, output — about 30 bytes per u64 element), never the 64-byte
-// pivot-tree records that only the tree path reads.  The tree lane still
-// holds those records.
+// Per-variant shared state, measured where the pool keeps it: the arena of a
+// pool that has only run det/partition holds only the partition's arrays
+// (key copy, bucket ids, scattered keys, output — about 26 bytes per u64
+// element), never the 64-byte pivot-tree records that only the tree path
+// reads.  A pool that has run det/tree holds those records.
 TEST(SortPoolFootprint, PartitionLaneHoldsNoPivotTree) {
   const std::size_t n = std::size_t{1} << 16;
   {
@@ -398,7 +415,7 @@ std::vector<std::uint64_t> pattern_values(int pattern, std::size_t n,
   return v;
 }
 
-// The partition arrays are taken from the lane uninitialised, so a run
+// The partition arrays are taken from the arena uninitialised, so a run
 // starts on the previous run's bytes: its keys, bucket ids, scattered pairs
 // and output.  Every slot must be written before it is read, also when
 // workers die mid-sweep and survivors redo their jobs.  Sizes straddle the

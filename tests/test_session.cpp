@@ -134,6 +134,21 @@ TEST(SortSession, ReapAllMidFlightThenWaitCallerFinishes) {
   expect_sorted_permutation(orig, v);
 }
 
+TEST(SortSession, ReapEveryAllowedWorkerThenWaitFinishesOnCaller) {
+  // Spawning the cap's worth of workers must still leave wait() an id of
+  // its own to finish the sort with once every one of them is reaped.
+  auto v = random_data(std::size_t{1} << 18, 13);
+  auto orig = v;
+  using Session = wfsort::SortSession<std::uint64_t>;
+  Session session(std::span<std::uint64_t>(v), Options{.threads = 4});
+  for (std::uint32_t i = 0; i < Session::kMaxWorkers; ++i) {
+    session.reap_worker(session.spawn_worker());
+  }
+  session.wait();
+  EXPECT_TRUE(session.finished());
+  expect_sorted_permutation(orig, v);
+}
+
 TEST(SortSession, WorkerIdsStayMonotoneAcrossReaps) {
   // Ids are never reused: a reaped worker's slot (its fault-plan entry and
   // WAT spread position) stays retired, so later spawns must keep counting

@@ -8,7 +8,11 @@
 //     has one phase-3 pruning rule, so every draw may take a fault plan.
 //     Half the det-partition draws order keys by their high 48 bits only,
 //     so equivalent keys differ and the buckets must sort (key, index)
-//     pairs; the result must then equal std::stable_sort's;
+//     pairs; the result must then equal std::stable_sort's.  About a
+//     quarter of the draws run through one process-lifetime SortPool(4)
+//     (sort or sort_with_faults, same oracle), so its recycled arena meets
+//     random sequences of n, variant, phase 1 and comparator on top of the
+//     previous draws' stale bytes;
 //   * simulator sorter: random (n, procs, variant, pruning rule, scheduler,
 //     memory model); deterministic runs get full structural validation.
 //   * fault scripts: a random FaultScript (kills, stalls, suspend/revive
@@ -26,6 +30,7 @@
 
 #include "common/cli.h"
 #include "common/rng.h"
+#include "core/pool.h"
 #include "core/sort.h"
 #include "exp/workloads.h"
 #include "pram/machine.h"
@@ -55,14 +60,19 @@ struct High48Less {
   }
 };
 
-// Det-partition draws by bucket element: bare keys (std::less) or (key,
-// index) pairs (High48Less).
-struct BucketPaths {
+// Native draw counts: det-partition draws by bucket element (bare keys
+// under std::less, (key, index) pairs under High48Less), and draws routed
+// through the SortPool.
+struct NativePaths {
   std::uint64_t bare = 0;
   std::uint64_t pairs = 0;
+  std::uint64_t pooled = 0;
 };
 
-bool fuzz_native_once(Rng& rng, std::uint64_t iter, BucketPaths& paths) {
+bool fuzz_native_once(Rng& rng, std::uint64_t iter, wfsort::SortPool& pool,
+                      NativePaths& paths) {
+  const bool pooled = rng.below(4) == 0;
+  if (pooled) ++paths.pooled;
   wfsort::Options opts;
   opts.variant = rng.coin() ? wfsort::Variant::kDeterministic
                             : wfsort::Variant::kLowContention;
@@ -93,8 +103,13 @@ bool fuzz_native_once(Rng& rng, std::uint64_t iter, BucketPaths& paths) {
   }
 
   const auto run = [&](auto cmp) {
+    const std::span<std::uint64_t> span(data);
     if (!rng.coin()) {
-      wfsort::sort(std::span<std::uint64_t>(data), opts, nullptr, cmp);
+      if (pooled) {
+        pool.sort(span, opts, nullptr, cmp);
+      } else {
+        wfsort::sort(span, opts, nullptr, cmp);
+      }
       return true;
     }
     wfsort::runtime::FaultPlan plan(threads);
@@ -105,8 +120,8 @@ bool fuzz_native_once(Rng& rng, std::uint64_t iter, BucketPaths& paths) {
       plan.crash_at(threads - 1 - k, 1 + rng.below(horizon));
     }
     if (rng.coin()) plan.sleep_at(0, 1 + rng.below(100), std::chrono::microseconds(500));
-    if (!wfsort::sort_with_faults(std::span<std::uint64_t>(data), opts, plan, nullptr,
-                                  cmp)) {
+    if (!(pooled ? pool.sort_with_faults(span, opts, plan, nullptr, cmp)
+                 : wfsort::sort_with_faults(span, opts, plan, nullptr, cmp))) {
       std::printf("iter %llu: no survivor completed (unexpected: %u kills of %u)\n",
                   static_cast<unsigned long long>(iter), kills, threads);
       return false;
@@ -117,9 +132,9 @@ bool fuzz_native_once(Rng& rng, std::uint64_t iter, BucketPaths& paths) {
   if (data != expected) {
     std::printf(
         "iter %llu: NATIVE SORT WRONG (n=%zu threads=%u variant=%d phase1=%d "
-        "high48=%d)\n",
+        "high48=%d pooled=%d)\n",
         static_cast<unsigned long long>(iter), n, threads, static_cast<int>(opts.variant),
-        static_cast<int>(opts.phase1), static_cast<int>(high48));
+        static_cast<int>(opts.phase1), static_cast<int>(high48), static_cast<int>(pooled));
     return false;
   }
   return true;
@@ -249,11 +264,12 @@ int main(int argc, char** argv) {
 
   Rng rng(flags.u64("seed"));
   const std::uint64_t iters = flags.u64("iters");
-  BucketPaths paths;
+  wfsort::SortPool pool(4);
+  NativePaths paths;
   for (std::uint64_t i = 0; i < iters; ++i) {
     bool ok = true;
     switch (i % 3) {
-      case 0: ok = fuzz_native_once(rng, i, paths); break;
+      case 0: ok = fuzz_native_once(rng, i, pool, paths); break;
       case 1: ok = fuzz_sim_once(rng, i); break;
       default: ok = fuzz_script_once(rng, i, flags.str("artifact")); break;
     }
@@ -269,9 +285,10 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("fuzz: %llu iterations, all validated (det-partition: %llu bare-key, "
-              "%llu pair draws)\n",
+              "%llu pair draws; %llu pooled native draws)\n",
               static_cast<unsigned long long>(iters),
               static_cast<unsigned long long>(paths.bare),
-              static_cast<unsigned long long>(paths.pairs));
+              static_cast<unsigned long long>(paths.pairs),
+              static_cast<unsigned long long>(paths.pooled));
   return 0;
 }

@@ -431,7 +431,6 @@ int run_bench(const wfsort::CliFlags& flags) {
     pool.set("threads", static_cast<std::uint64_t>(ps.threads));
     pool.set("runs", ps.runs);
     pool.set("caller_only_runs", ps.caller_only_runs);
-    pool.set("detached_jobs", ps.detached_jobs);
     pool.set("bypass_runs", ps.bypass_runs);
     pool.set("arena_reuse_bytes", ps.arena_reuse_bytes);
     pool.set("arena_grow_events", ps.arena_grow_events);
