@@ -51,8 +51,9 @@ struct BuildResult {
   std::uint64_t installs = 0;      // successful installing CASes (0 or 1)
 };
 
-// Per-worker phase-1 accumulator: engine flushes it into the shared stats
-// atomics once per phase instead of paying three fetch_adds per element.
+// Per-worker phase-1 accumulator: the engine writes it into the worker's
+// telemetry scratch once per phase (Engine::flush_build), where the run's
+// Report, and SortStats with it, read the counts.
 struct BuildTally {
   std::uint64_t iterations = 0;
   std::uint64_t cas_failures = 0;
@@ -67,6 +68,17 @@ struct BuildTally {
     if (r.iterations > max_iterations) max_iterations = r.iterations;
   }
 };
+
+// Level::kFull detail of one finished descent: its CAS-retry histogram
+// sample and, past the threshold, a flight-recorder burst event.
+inline void record_descent(telemetry::WorkerScratch* tel, std::int64_t elem,
+                           std::uint64_t fails) {
+  tel->rep.cas_retries.add(fails);
+  if (fails >= kCasBurstThreshold) {
+    tel->emit(telemetry::FlightKind::kCasFailBurst, 0,
+              static_cast<std::uint32_t>(fails), static_cast<std::uint64_t>(elem));
+  }
+}
 
 // Insert element `i` starting the descent at `start_parent` (the pivot-tree
 // root for the plain algorithm; the fat-tree handoff point for the
@@ -157,8 +169,8 @@ bool build_batch(TreeState<Key, Compare>& st, Stripe stripe, BuildTally& tally,
     std::uint64_t iterations;
     // A 32-bit pair keeps a lane at 40 bytes for 8-byte keys (48 bytes cost
     // ~5% of phase 1 at N = 2^14, t = 4 on a 4-vCPU Xeon).  pos < wat_batch
-    // < 2^32; fails, a telemetry-only count, stays below `iterations`.
-    std::uint32_t fails;  // per-lane only when kTel (feeds the histogram)
+    // < 2^32; fails stays below `iterations`.
+    std::uint32_t fails;  // lost probes, tallied when the element completes
     std::uint32_t pos;    // position in the stripe's order (decides slot races)
   };
   [[maybe_unused]] bool tel_detail = false;
@@ -250,29 +262,15 @@ bool build_batch(TreeState<Key, Compare>& st, Stripe stripe, BuildTally& tally,
       ++ln.iterations;
       WFSORT_DCHECK(ln.iterations <= static_cast<std::uint64_t>(st.n()));
       if (installed || c == ln.elem) {
+        tally.add({ln.iterations, ln.fails, installed ? 1u : 0u});
         if constexpr (kTel) {
-          tally.add({ln.iterations, ln.fails, installed ? 1u : 0u});
-          if (tel_detail) {
-            tel->rep.cas_retries.add(ln.fails);
-            tel->count(telemetry::Counter::kCasFailures, ln.fails);
-            if (installed) tel->count(telemetry::Counter::kCasInstalls);
-            if (ln.fails >= kCasBurstThreshold) {
-              tel->emit(telemetry::FlightKind::kCasFailBurst, 0,
-                        static_cast<std::uint32_t>(ln.fails),
-                        static_cast<std::uint64_t>(ln.elem));
-            }
-          }
-        } else {
-          tally.add({ln.iterations, 0, installed ? 1u : 0u});
+          if (tel_detail) record_descent(tel, ln.elem, ln.fails);
         }
         if (!keep_going()) {
-          if constexpr (kTel) {
-            // Aborted mid-batch: fold the still-in-flight lanes' lost probes
-            // into the tally so crash paths report the same counts as direct
-            // accumulation (slot l was already added above).
-            for (int k = 0; k < active; ++k) {
-              if (k != l) tally.cas_failures += lanes[k].fails;
-            }
+          // Aborted mid-batch: the still-in-flight lanes' lost probes happened
+          // too (slot l was already added above).
+          for (int k = 0; k < active; ++k) {
+            if (k != l) tally.cas_failures += lanes[k].fails;
           }
           return false;
         }
@@ -290,11 +288,7 @@ bool build_batch(TreeState<Key, Compare>& st, Stripe stripe, BuildTally& tally,
         }
         continue;  // the new occupant of slot l steps next
       }
-      if constexpr (kTel) {
-        ++ln.fails;
-      } else {
-        ++tally.cas_failures;
-      }
+      ++ln.fails;
       ln.parent = c;
       st.prefetch(c);  // overlap this miss with the other lanes' steps
       ++l;
@@ -398,26 +392,13 @@ bool build_lanes(TreeState<Key, Compare>& st, const std::int64_t* elems,
       ++ln.iterations;
       WFSORT_DCHECK(ln.iterations <= static_cast<std::uint64_t>(st.n()));
       if (installed || c == ln.elem) {
+        tally.add({ln.iterations, ln.fails, installed ? 1u : 0u});
         if constexpr (kTel) {
-          tally.add({ln.iterations, ln.fails, installed ? 1u : 0u});
-          if (tel_detail) {
-            tel->rep.cas_retries.add(ln.fails);
-            tel->count(telemetry::Counter::kCasFailures, ln.fails);
-            if (installed) tel->count(telemetry::Counter::kCasInstalls);
-            if (ln.fails >= kCasBurstThreshold) {
-              tel->emit(telemetry::FlightKind::kCasFailBurst, 0,
-                        static_cast<std::uint32_t>(ln.fails),
-                        static_cast<std::uint64_t>(ln.elem));
-            }
-          }
-        } else {
-          tally.add({ln.iterations, 0, installed ? 1u : 0u});
+          if (tel_detail) record_descent(tel, ln.elem, ln.fails);
         }
         if (!keep_going()) {
-          if constexpr (kTel) {
-            for (int k = 0; k < active; ++k) {
-              if (k != l) tally.cas_failures += lanes[k].fails;
-            }
+          for (int k = 0; k < active; ++k) {
+            if (k != l) tally.cas_failures += lanes[k].fails;
           }
           return false;
         }
@@ -427,11 +408,7 @@ bool build_lanes(TreeState<Key, Compare>& st, const std::int64_t* elems,
         }
         continue;
       }
-      if constexpr (kTel) {
-        ++ln.fails;
-      } else {
-        ++tally.cas_failures;
-      }
+      ++ln.fails;
       ln.parent = c;
       st.prefetch(c);
       ++l;

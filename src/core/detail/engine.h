@@ -20,8 +20,9 @@
 //     (build_batch);
 //   * phase-3 subtrees at or below Options::seq_cutoff are emitted by one
 //     sequential in-order walk (place_block);
-//   * per-element statistics accumulate in per-worker tallies and are
-//     flushed into the shared atomics once per phase;
+//   * per-element statistics accumulate in per-worker tallies, written once
+//     per phase into the worker's own telemetry scratch; SortStats is read
+//     off the run's Report, so no statistic is a shared atomic;
 //   * workers that finish all phases help copy the assembled output back
 //     into the caller's buffer in parallel chunks — safe because keys were
 //     copied into the node records (or the partition's key array) up front,
@@ -31,7 +32,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -56,13 +56,6 @@
 
 namespace wfsort::detail {
 
-inline void atomic_fetch_max(std::atomic<std::uint64_t>& a, std::uint64_t v) {
-  std::uint64_t cur = a.load(std::memory_order_relaxed);
-  while (cur < v &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
 // Stage ids for the low-contention variant's per-worker RNG streams.
 enum class LcRngStage : std::uint64_t {
   kWinner = 1,  // stage B: winner-tree pre-wait coin tosses
@@ -84,24 +77,6 @@ inline Rng worker_stage_rng(std::uint64_t seed, std::uint32_t tid, LcRngStage st
   return Rng(seed ^ tid).fork(static_cast<std::uint64_t>(stage));
 }
 
-// Phase durations are tracked as integral microseconds so the max can be
-// maintained with a plain atomic.
-class PhaseClock {
- public:
-  void start() { t0_ = std::chrono::steady_clock::now(); }
-  // Record the elapsed time into `slot` (max over workers) and restart.
-  void lap(std::atomic<std::uint64_t>& slot) {
-    const auto now = std::chrono::steady_clock::now();
-    const auto us = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(now - t0_).count());
-    atomic_fetch_max(slot, us);
-    t0_ = now;
-  }
-
- private:
-  std::chrono::steady_clock::time_point t0_{};
-};
-
 // Below this size the low-contention variant falls back to the
 // deterministic one: with fewer elements than this there is no slice worth
 // pre-sorting and no contention worth spreading.
@@ -111,12 +86,30 @@ inline constexpr std::uint64_t kLcMinN = 64;
 // per-chunk done flags make finalize()'s sweep exact.
 inline constexpr std::uint64_t kCopyChunk = 8192;
 
-// Telemetry scratch slots cover every worker id a SortSession can hand
-// out (SortSession::kMaxWorkers is defined from this), not just the
-// nominal thread count — replacement workers get ids past `threads` and
-// must still be recordable.  SortPool sizes its recycled Recorders with the
-// same formula as the Engine.
+// Worker ids a SortSession can hand out (SortSession::kMaxWorkers is
+// defined from this), not just the nominal thread count — replacement
+// workers get ids past `threads`.  LC's per-worker sorted-order buffers and
+// a session's Recorder cover them all; one-shot and pooled runs use ids
+// below `threads` only, and their Recorders have just that many slots.
 inline constexpr std::uint32_t kTelemetrySlots = 64;
+
+// Whether a run records, and how: the one decision behind the Engine's own
+// Recorder, SortPool's recycled one and SortSession's.  A run records when
+// Options::telemetry asks for it or the caller wants SortStats, which are
+// read off the Report: at least kPhases (the level that carries the run
+// counters), with flight rings only when telemetry was asked for.  N <= 1
+// runs record nothing.
+struct Recording {
+  telemetry::Level level = telemetry::Level::kOff;  // kOff: no Recorder
+  std::uint32_t ring_capacity = 0;
+};
+
+inline Recording recording_for(const Options& opts, bool want_stats, std::uint64_t n) {
+  using telemetry::Level;
+  if (n <= 1 || (opts.telemetry == Level::kOff && !want_stats)) return {};
+  return {std::max(opts.telemetry, Level::kPhases),
+          opts.telemetry == Level::kOff ? 0 : opts.ring_capacity};
+}
 
 template <typename Key, typename Compare>
 class Engine {
@@ -134,13 +127,15 @@ class Engine {
   // steady-state pooled submits allocation-free.  The arena must outlive
   // the Engine, and its begin_run() must have been called for this run.
   //
-  // `recorder` (optional, only meaningful when Options::telemetry != kOff)
-  // lends the engine pre-sized telemetry scratch; null means the engine
-  // builds its own.  A borrowed recorder must already be reuse()-armed and
-  // shape-matched (SortPool does both).
+  // `recorder` (optional) lends the engine telemetry scratch with a slot for
+  // every worker id the run will use; a borrowed recorder must already be
+  // reuse()-armed to recording_for's level (SortPool and SortSession lend
+  // one).  Without one the engine builds its own, with a slot per nominal
+  // thread, when recording_for says the run records: `want_stats` is
+  // whether the caller will read stats().
   Engine(std::span<Key> data, Compare cmp, const Options& opts,
          bool assemble_into_data = true, RunArena* arena = nullptr,
-         telemetry::Recorder* recorder = nullptr)
+         telemetry::Recorder* recorder = nullptr, bool want_stats = false)
       : data_(data),
         cmp_(cmp),
         opts_(opts),
@@ -171,15 +166,13 @@ class Engine {
         }
       }
     }
-    if (opts.telemetry != telemetry::Level::kOff && data_.size() > 1) {
-      if (recorder != nullptr) {
-        recorder_ = recorder;
-      } else {
-        recorder_owned_ = std::make_unique<telemetry::Recorder>(
-            opts.telemetry, std::max(nominal_threads_, kTelemetrySlots),
-            opts.ring_capacity);
-        recorder_ = recorder_owned_.get();
-      }
+    if (recorder != nullptr) {
+      recorder_ = recorder;
+    } else if (const Recording r = recording_for(opts, want_stats, data_.size());
+               r.level != telemetry::Level::kOff) {
+      recorder_owned_ = std::make_unique<telemetry::Recorder>(r.level, nominal_threads_,
+                                                              r.ring_capacity);
+      recorder_ = recorder_owned_.get();
     }
     if (copy_back_ && data_.size() > 1) {
       copy_chunks_ = (data_.size() + kCopyChunk - 1) / kCopyChunk;
@@ -237,7 +230,6 @@ class Engine {
       // mark_crashed lands the post-mortem kFault event in the victim's own
       // ring (single-writer rule: the dying worker writes its own epitaph).
       if (tel != nullptr) tel->mark_crashed(tel->now_us());
-      crashed_.fetch_add(1, std::memory_order_acq_rel);
       return false;
     }
     // This worker placed, or saw a completion flag over, every element, so
@@ -279,25 +271,28 @@ class Engine {
   }
 
   // The run's recorder, for observers that sample the flight-recorder rings
-  // while workers are live (telemetry::Monitor).  Null at Level::kOff.
+  // while workers are live (telemetry::Monitor).  Null when the run records
+  // nothing (recording_for).
   const telemetry::Recorder* recorder() const { return recorder_; }
 
+  // The run's statistics.  Every counter comes from the telemetry Report,
+  // so they are zero until the snapshot (after the join) and for N <= 1.
   SortStats stats() const {
     SortStats s;
     s.n = data_.size();
     s.workers = nominal_threads_;
-    s.crashed_workers = crashed_.load(std::memory_order_relaxed);
     s.completed_workers = completed_.load(std::memory_order_relaxed);
-    s.max_build_iters = max_build_iters_.load(std::memory_order_relaxed);
-    s.total_build_iters = total_build_iters_.load(std::memory_order_relaxed);
-    s.cas_failures = cas_failures_.load(std::memory_order_relaxed);
-    s.cas_successes = install_cas_.load(std::memory_order_relaxed);
-    s.fat_read_misses = fat_misses_.load(std::memory_order_relaxed);
-    s.telemetry = report_;
     s.tree_depth = measured_depth();  // 0 for det-partition: no tree
-    s.phase1_ms = static_cast<double>(phase1_us_.load(std::memory_order_relaxed)) / 1000.0;
-    s.phase2_ms = static_cast<double>(phase2_us_.load(std::memory_order_relaxed)) / 1000.0;
-    s.phase3_ms = static_cast<double>(phase3_us_.load(std::memory_order_relaxed)) / 1000.0;
+    s.telemetry = report_;
+    if (report_ != nullptr) {
+      using telemetry::Counter;
+      s.crashed_workers = report_->crashed_workers();
+      s.max_build_iters = report_->max_build_iters();
+      s.total_build_iters = report_->counter_total(Counter::kBuildIters);
+      s.cas_failures = report_->counter_total(Counter::kCasFailures);
+      s.cas_successes = report_->counter_total(Counter::kCasInstalls);
+      s.fat_read_misses = report_->counter_total(Counter::kFatMisses);
+    }
     return s;
   }
 
@@ -416,25 +411,23 @@ class Engine {
           Wat(StripedJobs(slice, wat_batch_).jobs, arena);
       ++lc_->constructed;
     }
-    // One sorted-order buffer per worker id the run can legally use (same
-    // bound as the telemetry slots: SortSession replacement ids included).
+    // One sorted-order buffer per worker id the run can legally use
+    // (SortSession replacement ids included).
     lc_->sorted_slots = std::max(nominal_threads_, kTelemetrySlots);
     lc_->sorted_bufs = arena.make<std::int64_t>(
         static_cast<std::size_t>(lc_->sorted_slots) * slice);
   }
 
-  // Flush a per-worker phase-1 tally into the shared statistics — one RMW
-  // per counter per worker instead of three per element.
-  void flush_build(const BuildTally& tally) {
-    if (tally.iterations != 0) {
-      total_build_iters_.fetch_add(tally.iterations, std::memory_order_relaxed);
-      atomic_fetch_max(max_build_iters_, tally.max_iterations);
-    }
-    if (tally.cas_failures != 0) {
-      cas_failures_.fetch_add(tally.cas_failures, std::memory_order_relaxed);
-    }
-    if (tally.installs != 0) {
-      install_cas_.fetch_add(tally.installs, std::memory_order_relaxed);
+  // Write a worker's phase-1 tally into its own scratch, once per phase and
+  // at every recording level: these are the counts SortStats reports.  The
+  // untraced instantiation records nothing.
+  template <typename Tel>
+  static void flush_build(const BuildTally& tally, Tel tel) {
+    if constexpr (telemetry::kTelEnabled<Tel>) {
+      tel->count(telemetry::Counter::kCasInstalls, tally.installs);
+      tel->count(telemetry::Counter::kCasFailures, tally.cas_failures);
+      tel->count(telemetry::Counter::kBuildIters, tally.iterations);
+      tel->rep.max_build_iters = std::max(tel->rep.max_build_iters, tally.max_iterations);
     }
   }
 
@@ -504,8 +497,6 @@ class Engine {
     TreeState<Key, Compare>& st = *st_;
     const StripedJobs jobs(data_.size(), wat_batch_);
 
-    PhaseClock clock;
-    clock.start();
     if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kBuild);
     // Phase 1: WAT-allocated tree building, one bit-reversed stripe per
     // claimed leaf.
@@ -514,24 +505,19 @@ class Engine {
         drive(*wat_, tid, nominal_threads_, chk, tel, [&](std::uint64_t j) {
           return build_batch(st, jobs.stripe(j), tally, chk, tel);
         });
-    flush_build(tally);
+    flush_build(tally, tel);
     if (!built) return false;
-    clock.lap(phase1_us_);
     // Phases 2 and 3.
     if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kSum);
     if (!tree_sum(st, tid, chk)) return false;
-    clock.lap(phase2_us_);
     if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kPlace);
-    if (!find_place_emit(st, tid, seq_cutoff_, chk, tel)) return false;
-    clock.lap(phase3_us_);
-    return true;
+    return find_place_emit(st, tid, seq_cutoff_, chk, tel);
   }
 
   // --- deterministic variant with the blocked-partition phase 1 ---
   // Same worker contract as run_deterministic: helps every sweep to its own
   // completion, crashes leave only idempotent state, nobody waits.  Sweep
-  // structure and its correctness argument live in partition_phase.h; the
-  // phase clock maps classify/scatter/buckets onto the phase1/2/3 slots.
+  // structure and its correctness argument live in partition_phase.h.
   template <typename Tel>
   bool run_partition(std::uint32_t tid, runtime::FaultPlan* plan, Tel tel) {
     constexpr bool kTel = telemetry::kTelEnabled<Tel>;
@@ -560,8 +546,6 @@ class Engine {
         }
       }
     };
-    PhaseClock clock;
-    clock.start();
     if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kPartClassify);
     const std::uint32_t workers = nominal_threads_;
     bool ok = partition_prepare(cmp_, ps, local, chk) &&
@@ -572,7 +556,6 @@ class Engine {
       flush();
       return false;
     }
-    clock.lap(phase1_us_);
 
     if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kPartScatter);
     ok = partition_offsets(ps, local, chk) &&
@@ -583,16 +566,13 @@ class Engine {
       flush();
       return false;
     }
-    clock.lap(phase2_us_);
 
     if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kPartSort);
     ok = drive(ps.bucket_wat, tid, workers, chk, tel, [&](std::uint64_t b) {
       return partition_bucket(cmp_, ps, local, b, chk);
     });
     flush();
-    if (!ok) return false;
-    clock.lap(phase3_us_);
-    return true;
+    return ok;
   }
 
   // --- randomized low-contention variant (Section 3) ---
@@ -603,8 +583,6 @@ class Engine {
     [[maybe_unused]] bool tel_detail = false;
     if constexpr (kTel) tel_detail = tel->detail;
     LcShared& lc = *lc_;
-    PhaseClock clock;
-    clock.start();
     BuildTally tally;
     std::uint64_t fat_misses = 0;
 
@@ -623,7 +601,7 @@ class Engine {
               }) &&
         tree_sum(gst, tid, chk) && find_place_emit(gst, tid, seq_cutoff_, chk, tel);
     if (!presorted) {
-      flush_build(tally);
+      flush_build(tally, tel);
       return false;
     }
 
@@ -647,7 +625,7 @@ class Engine {
       TreeState<Key, Compare>& wst = lc.group_states[static_cast<std::size_t>(w)];
       for (std::uint64_t i = 0; i < lc.slice_len; ++i) {
         if (!chk()) {
-          flush_build(tally);
+          flush_build(tally, tel);
           return false;
         }
         const std::int64_t pl = wst.place_of(static_cast<std::int64_t>(i));
@@ -678,7 +656,7 @@ class Engine {
     st.set_root(root);
     for (std::uint64_t f = 0; f < lc.fat.node_count(); ++f) {
       if (!chk()) {
-        flush_build(tally);
+        flush_build(tally, tel);
         return false;
       }
       const std::int64_t pe = sorted_idx[lc.fat.rank_of(f)];
@@ -751,11 +729,10 @@ class Engine {
       if (cnt > 0) insert_lanes();
     };
     const auto flush_insert = [&] {
-      flush_build(tally);
-      if (fat_misses != 0) fat_misses_.fetch_add(fat_misses, std::memory_order_relaxed);
+      flush_build(tally, tel);
       if constexpr (kTel) {
+        tel->count(telemetry::Counter::kFatMisses, fat_misses);
         if (tel_detail) {
-          tel->count(telemetry::Counter::kFatMisses, fat_misses);
           tel->count(telemetry::Counter::kFatHits, fat_reads - fat_misses);
           tel->count(telemetry::Counter::kBackoffSpins, tally.backoff_spins);
         }
@@ -773,7 +750,6 @@ class Engine {
     }
     flush_insert();
 
-    clock.lap(phase1_us_);
     // Stages F, G: randomized summation and placement (Section 3.3), with
     // per-worker probe tallies flushed once per stage.
     LcProbeTally probe_tally;
@@ -792,15 +768,12 @@ class Engine {
         lc_tree_sum(st, lc.sum_marks, rng_sum, opts_.lc_burst, probe_tally, chk);
     flush_probes();
     if (!sum_ok) return false;
-    clock.lap(phase2_us_);
     if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kPlace);
     Rng rng_place = worker_stage_rng(opts_.seed, tid, LcRngStage::kPlace);
     const bool place_ok = lc_find_place_emit(st, lc.place_marks, rng_place,
                                              opts_.lc_burst, probe_tally, chk);
     flush_probes();
-    if (!place_ok) return false;
-    clock.lap(phase3_us_);
-    return true;
+    return place_ok;
   }
 
   // Batched fat-tree descents for up to kBuildLanes elements: each element
@@ -882,17 +855,8 @@ class Engine {
   std::unique_ptr<telemetry::Recorder> recorder_owned_;
   std::shared_ptr<const telemetry::Report> report_;
 
-  std::atomic<std::uint64_t> max_build_iters_{0};
-  std::atomic<std::uint64_t> total_build_iters_{0};
-  std::atomic<std::uint64_t> cas_failures_{0};
-  std::atomic<std::uint64_t> install_cas_{0};
   std::atomic<std::uint32_t> completed_{0};
-  std::atomic<std::uint32_t> crashed_{0};
   mutable std::uint32_t measured_depth_ = 0;  // lazy; see measured_depth()
-  std::atomic<std::uint64_t> fat_misses_{0};
-  std::atomic<std::uint64_t> phase1_us_{0};
-  std::atomic<std::uint64_t> phase2_us_{0};
-  std::atomic<std::uint64_t> phase3_us_{0};
 };
 
 }  // namespace wfsort::detail

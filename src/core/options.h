@@ -93,17 +93,18 @@ struct Options {
   // variant never backs off: its loss rate is the measurement).
   std::uint32_t backoff_limit = 6;
 
-  // Observability (docs/observability.md).  kOff — the default — costs the
-  // hot path one null-pointer test per instrumentation site; kPhases records
-  // per-worker, per-phase wall-time spans; kFull adds per-site contention
-  // counters and per-element CAS-retry / WAT-probe histograms, accumulated
-  // in per-worker scratch.  The finished report hangs off SortStats.
+  // Observability (docs/observability.md).  kOff — the default — records
+  // nothing unless the caller asks for SortStats, which are read off a
+  // kPhases Report; kPhases records per-worker, per-phase wall-time spans and
+  // the run counters; kFull adds per-site contention counters and
+  // per-element CAS-retry / WAT-probe histograms, accumulated in per-worker
+  // scratch.  The finished report hangs off SortStats.
   telemetry::Level telemetry = telemetry::Level::kOff;
 
   // Flight-recorder depth: events retained per worker ring (rounded up to a
   // power of two internally; exact logical window).  Only meaningful when
-  // telemetry != kOff — at kOff no Recorder (and hence no ring) exists.
-  // 0 disables the rings while keeping spans/counters.
+  // telemetry != kOff — a kOff run has no rings, even when it records for
+  // SortStats.  0 disables the rings while keeping spans/counters.
   std::uint32_t ring_capacity = telemetry::Recorder::kDefaultRingCapacity;
 
   // Live monitor (docs/observability.md): when `monitor_interval_ms` > 0 and
@@ -127,6 +128,11 @@ struct Options {
   }
 };
 
+// Per-run diagnostics, filled after the workers join.  Apart from n,
+// workers, completed_workers and tree_depth, every field is read off the
+// run's telemetry Report (asking for SortStats makes a run record at least
+// Level::kPhases), so a field is zero when no Report exists, i.e. N <= 1.
+// Phase times are in the Report: telemetry->phase_max_ms(PhaseId).
 struct SortStats {
   std::uint64_t n = 0;
   std::uint32_t workers = 0;
@@ -143,7 +149,8 @@ struct SortStats {
 
   // Failed CAS attempts during tree building (a native proxy for phase-1
   // memory contention), and the successful installs they raced against
-  // (always N-1 on a completed run: one install per non-root element).
+  // (N-1 on a completed det-tree run: one install per non-root element;
+  // the low-contention variant adds its group pre-sorts' installs).
   std::uint64_t cas_failures = 0;
   std::uint64_t cas_successes = 0;
 
@@ -151,17 +158,10 @@ struct SortStats {
   // fell back to the authoritative slice (see FatTree::read).
   std::uint64_t fat_read_misses = 0;
 
-  // Wall-clock milliseconds spent in each phase, maximum over the workers
-  // that completed (the critical path through a phase).  For the
-  // low-contention variant phase1 covers stages A-E and the remaining two
-  // map to the randomized summation / placement probes.
-  double phase1_ms = 0.0;
-  double phase2_ms = 0.0;
-  double phase3_ms = 0.0;
-
-  // The run's telemetry snapshot, when Options::telemetry asked for one;
-  // null at Level::kOff and while the run is still live (the snapshot is
-  // taken after the workers join).  Shared so SortStats stays copyable.
+  // The run's telemetry snapshot, taken after the workers join: null only
+  // for N <= 1 (and while a SortSession is still live).  Its level is
+  // Options::telemetry, or kPhases when that was kOff.  Shared so SortStats
+  // stays copyable.
   std::shared_ptr<const telemetry::Report> telemetry;
 };
 

@@ -19,7 +19,8 @@
 //     contended arena is bypassed for a stack-local one — the cold path,
 //     always correct.
 //   * The lease also recycles a telemetry Recorder (rings and span vectors
-//     keep their buffers between runs) when telemetry is on.
+//     keep their buffers between runs) when the run records: telemetry on,
+//     or SortStats requested.
 //
 // A pooled run is detail::sort_run (sort.h), the same run as the one-shot
 // entry points; only the arena, the Recorder and the way worker ids reach
@@ -167,17 +168,16 @@ class SortPool {
       return &pool_->arena_;
     }
 
-    // A reuse()-armed, shape-matched Recorder for this run (rebuilt only
-    // when the required shape changed since the last telemetry run).
-    telemetry::Recorder* prepare_recorder(const Options& opts) {
+    // A reuse()-armed Recorder with `slots` worker slots for this run
+    // (rebuilt only when the required shape changed since the last
+    // recording run).
+    telemetry::Recorder* prepare_recorder(const detail::Recording& r,
+                                          std::uint32_t slots) {
       std::unique_ptr<telemetry::Recorder>& rec = pool_->recorder_;
-      const std::uint32_t slots =
-          std::max(opts.resolved_threads(), detail::kTelemetrySlots);
-      if (rec == nullptr || !rec->shape_matches(slots, opts.ring_capacity)) {
-        rec = std::make_unique<telemetry::Recorder>(opts.telemetry, slots,
-                                                    opts.ring_capacity);
+      if (rec == nullptr || !rec->shape_matches(slots, r.ring_capacity)) {
+        rec = std::make_unique<telemetry::Recorder>(r.level, slots, r.ring_capacity);
       } else {
-        rec->reuse(opts.telemetry);
+        rec->reuse(r.level);
       }
       return rec.get();
     }
@@ -218,8 +218,9 @@ class SortPool {
     telemetry::Recorder* rec = nullptr;
     if (lease.ok()) {
       arena = lease.begin_run();
-      if (opts.telemetry != telemetry::Level::kOff && data.size() > 1) {
-        rec = lease.prepare_recorder(opts);
+      const detail::Recording r = detail::recording_for(opts, stats != nullptr, data.size());
+      if (r.level != telemetry::Level::kOff) {
+        rec = lease.prepare_recorder(r, opts.resolved_threads());
       }
     } else {
       bypass_runs_.fetch_add(1, std::memory_order_relaxed);

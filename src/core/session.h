@@ -14,7 +14,8 @@
 //
 // Each spawned worker is a std::jthread of its own: the paper's spawn and
 // reap, on real threads.  The engine keeps a private arena, since a session
-// lives arbitrarily long.
+// lives arbitrarily long.  A session always records (its stats are read off
+// the Report), with a scratch slot for every worker id it can hand out.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +42,10 @@ class SortSession {
   static constexpr std::uint32_t kMaxWorkers = detail::kTelemetrySlots - 1;
 
   explicit SortSession(std::span<T> data, Options opts = {}, Compare cmp = Compare{})
-      : engine_(data, cmp, opts), plan_(kMaxWorkers) {}
+      : recorder_(make_recorder(opts, data.size())),
+        engine_(data, cmp, opts, /*assemble_into_data=*/true, /*arena=*/nullptr,
+                recorder_.get()),
+        plan_(kMaxWorkers) {}
 
   ~SortSession() { wait(); }
 
@@ -79,19 +83,35 @@ class SortSession {
     finalized_ = true;
   }
 
-  SortStats stats() const { return engine_.stats(); }
+  // The run's statistics, read off its Report: the counters stay zero until
+  // wait() has joined the workers and taken the snapshot.  Safe to call
+  // from any thread, concurrently with wait().
+  SortStats stats() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return engine_.stats();
+  }
 
   // The run's telemetry snapshot: null until wait() has joined the workers
-  // (the per-worker scratch is unsynchronized), and null for good at
-  // Options::telemetry == kOff.
+  // (the per-worker scratch is unsynchronized) and for N <= 1.  A session
+  // always records, at kPhases or above, since its stats come from here.
   std::shared_ptr<const telemetry::Report> telemetry() const {
+    std::lock_guard<std::mutex> lock(mu_);
     return engine_.telemetry_report();
   }
 
  private:
+  static std::unique_ptr<telemetry::Recorder> make_recorder(const Options& opts,
+                                                            std::size_t n) {
+    const detail::Recording r = detail::recording_for(opts, /*want_stats=*/true, n);
+    if (r.level == telemetry::Level::kOff) return nullptr;
+    return std::make_unique<telemetry::Recorder>(r.level, detail::kTelemetrySlots,
+                                                 r.ring_capacity);
+  }
+
+  std::unique_ptr<telemetry::Recorder> recorder_;  // outlives engine_
   detail::Engine<T, Compare> engine_;
   runtime::FaultPlan plan_;
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::vector<std::jthread> threads_;
   std::uint32_t next_tid_ = 0;
   bool finalized_ = false;

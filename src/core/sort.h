@@ -74,9 +74,10 @@ inline std::unique_ptr<telemetry::Monitor> start_monitor(
 
 // The one run of every blocking entry point (sort and sort_with_faults here,
 // SortPool's two in pool.h): build the engine over `arena` and `rec` (null:
-// the engine makes its own), let `drive(engine)` run workers until none is
-// left running, and deliver the output if some worker completed.  Returns
-// whether one did.
+// the engine makes its own if recording_for says the run records), let
+// `drive(engine)` run workers until none is left running, and deliver the
+// output if some worker completed.  `stats`, if given, is filled from the
+// run's Report after the join.  Returns whether some worker completed.
 template <typename T, typename Compare, typename Drive>
 bool sort_run(std::span<T> data, const Options& opts, SortStats* stats, Compare cmp,
               RunArena* arena, telemetry::Recorder* rec, Drive drive) {
@@ -87,7 +88,8 @@ bool sort_run(std::span<T> data, const Options& opts, SortStats* stats, Compare 
                          opts.monitor_interval_ms != 0 && !opts.monitor_path.empty();
   const auto t_start = monitored ? std::chrono::steady_clock::now()
                                  : std::chrono::steady_clock::time_point{};
-  Engine<T, Compare> engine(data, cmp, opts, /*assemble_into_data=*/true, arena, rec);
+  Engine<T, Compare> engine(data, cmp, opts, /*assemble_into_data=*/true, arena, rec,
+                            /*want_stats=*/stats != nullptr);
   auto monitor =
       monitored ? start_monitor(engine.recorder(), opts, data.size()) : nullptr;
   drive(engine);

@@ -39,8 +39,8 @@ class ProbeTracer final : public pram::Tracer {
       return;
     }
     if (e.kind != pram::OpKind::kCas || e.result != e.arg0) return;  // failed CAS
-    if (child_.contains(e.addr) && report_.install_cas_rounds.size() < kMaxInstalls) {
-      report_.install_cas_rounds.push_back(e.round);
+    if (child_.contains(e.addr) && report_.cas_install_rounds.size() < kMaxInstalls) {
+      report_.cas_install_rounds.push_back(e.round);
     }
   }
 
@@ -69,11 +69,11 @@ std::uint64_t resolve_one(const FaultEvent& e, const ProbeReport& probe) {
     case TriggerKind::kFirstWatClaim: return offset(probe.first_wat_claim);
     case TriggerKind::kLastWatClaim: return offset(probe.last_wat_claim);
     case TriggerKind::kInstallCas: {
-      if (probe.install_cas_rounds.empty()) return std::max<std::uint64_t>(e.at, 1);
+      if (probe.cas_install_rounds.empty()) return std::max<std::uint64_t>(e.at, 1);
       const std::uint64_t idx =
           std::min<std::uint64_t>(std::max<std::uint64_t>(e.at, 1),
-                                  probe.install_cas_rounds.size());
-      return probe.install_cas_rounds[static_cast<std::size_t>(idx - 1)];
+                                  probe.cas_install_rounds.size());
+      return probe.cas_install_rounds[static_cast<std::size_t>(idx - 1)];
     }
   }
   return e.at;
@@ -222,10 +222,10 @@ std::vector<FaultScript> structured_scripts(std::uint32_t procs, const ProbeRepo
   add_landmark(probe.phase3_entry + 1);
   add_landmark(probe.first_wat_claim);
   add_landmark(probe.last_wat_claim);
-  if (!probe.install_cas_rounds.empty()) {
-    add_landmark(probe.install_cas_rounds.front());
-    add_landmark(probe.install_cas_rounds[probe.install_cas_rounds.size() / 2]);
-    add_landmark(probe.install_cas_rounds.back());
+  if (!probe.cas_install_rounds.empty()) {
+    add_landmark(probe.cas_install_rounds.front());
+    add_landmark(probe.cas_install_rounds[probe.cas_install_rounds.size() / 2]);
+    add_landmark(probe.cas_install_rounds.back());
   }
   if (probe.rounds > 2) add_landmark(probe.rounds / 2);
 

@@ -41,7 +41,7 @@ struct ProbeReport {
   std::uint64_t phase3_entry = 0;       // round of the first place-region write
   std::uint64_t first_wat_claim = 0;    // first WAT done-mark write
   std::uint64_t last_wat_claim = 0;     // last WAT done-mark write
-  std::vector<std::uint64_t> install_cas_rounds;  // successful child installs
+  std::vector<std::uint64_t> cas_install_rounds;  // successful child installs
 };
 
 // Run `spec` once with no faults, tracing the deterministic sort's regions.

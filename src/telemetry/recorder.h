@@ -5,9 +5,10 @@
 // its OWN cache-line-aligned scratch slot — plain, non-atomic memory nobody
 // else touches while the run is live — so recording is a handful of local
 // stores and the shared state is only read once, by snapshot(), after the
-// workers have joined.  With Level::kOff the engine holds no Recorder at
-// all and runs the untraced instantiation of its worker program (see
-// kTelEnabled below) — the hot path contains no telemetry code whatsoever.
+// workers have joined.  A run at Level::kOff whose caller wants no SortStats
+// holds no Recorder at all and runs the untraced instantiation of its worker
+// program (see kTelEnabled below) — the hot path contains no telemetry code
+// whatsoever.
 //
 // Span recording is crash-correct by construction: a scratch slot keeps at
 // most one open span, and the engine closes it from an RAII guard on every
@@ -128,9 +129,11 @@ class ScratchCloser {
   WorkerScratch* s_;
 };
 
-// Owns the scratch slots of one run.  Constructed by the engine when
-// Options::telemetry != kOff; slots are preallocated for every worker id the
-// run can legally use, so scratch() is an index, never an allocation.
+// Owns the scratch slots of one run.  Built by the engine, or lent to it by
+// SortPool and SortSession, whenever the run records: Options::telemetry !=
+// kOff or the caller asked for SortStats (detail::recording_for).  Slots are preallocated for every
+// worker id the run can legally use, so scratch() is an index, never an
+// allocation.
 class Recorder {
  public:
   // Default flight-recorder depth per worker (Options::ring_capacity).

@@ -28,12 +28,15 @@
 namespace wfsort::telemetry {
 
 // How much a run records.
-//   kOff    — nothing beyond the always-on SortStats counters (default; the
-//             engine hot path pays one predictable branch per phase).
+//   kOff    — nothing (default): no Recorder, and the engine runs its
+//             untraced worker program.  A caller that asks for SortStats
+//             still gets a kPhases Report, since SortStats is read off it.
 //   kPhases — per-worker, per-phase wall-time spans (two steady_clock reads
-//             per phase per worker).
-//   kFull   — spans plus histograms and per-site contention counters,
-//             accumulated in per-worker scratch and flushed once per phase.
+//             per phase per worker) plus the run counters SortStats reports:
+//             CAS installs and failures, build iterations, fat-tree misses,
+//             each written once per phase from the worker's own tally.
+//   kFull   — adds histograms, the remaining per-site contention counters
+//             and flight-recorder bursts.
 enum class Level : std::uint8_t { kOff = 0, kPhases = 1, kFull = 2 };
 
 const char* level_name(Level level);
@@ -70,6 +73,7 @@ const char* phase_name(PhaseId phase);
 enum class Counter : std::uint8_t {
   kCasInstalls = 0,   // successful child-slot install CASes (phase 1)
   kCasFailures,       // probes/CASes lost to another worker (phase 1)
+  kBuildIters,        // Figure-4 loop iterations over all inserted elements
   kWatClaims,         // job leaves this worker claimed (WAT or LC-WAT)
   kWatProbes,         // WAT tree nodes visited / LC-WAT random probes
   kFatHits,           // fat-tree reads served by a filled copy
@@ -150,6 +154,7 @@ struct WorkerReport {
   bool crashed = false;  // the fault plan aborted this worker mid-phase
   std::vector<Span> spans;
   std::array<std::uint64_t, kCounterCount> counters{};
+  std::uint64_t max_build_iters = 0;  // longest single insertion (Lemma 2.4)
   LogHistogram cas_retries;
   LogHistogram wat_probes;
   // The worker's frozen flight-recorder window (its last ring_total events,
@@ -169,6 +174,8 @@ struct Report {
   std::vector<WorkerReport> workers;
 
   std::uint64_t counter_total(Counter c) const;
+  std::uint64_t max_build_iters() const;
+  std::uint32_t crashed_workers() const;
   LogHistogram merged_cas_retries() const;
   LogHistogram merged_wat_probes() const;
   // Longest single-worker span of `phase` in milliseconds (the phase's

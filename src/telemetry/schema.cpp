@@ -52,15 +52,12 @@ constexpr Counter kContentionSites[] = {
     Counter::kLcProbes,
 };
 
-Json native_contention_json(const SortStats& stats, const Report* rep) {
+Json native_contention_json(const Report* rep) {
   Json sites = Json::object();
-  if (rep != nullptr && rep->level == Level::kFull) {
+  if (rep != nullptr) {
     for (Counter c : kContentionSites) {
       sites.set(counter_name(c), rep->counter_total(c));
     }
-  } else {
-    sites.set(counter_name(Counter::kCasFailures), stats.cas_failures);
-    sites.set(counter_name(Counter::kFatMisses), stats.fat_read_misses);
   }
   const char* max_site = "";
   std::uint64_t max_value = 0;
@@ -170,107 +167,85 @@ Json native_stats_json(const NativeRunInfo& info, const SortStats& stats) {
              level_name(rep != nullptr ? rep->level : info.level));
   doc.set("config", std::move(config));
 
+  // Every run counter is read off the Report; a run with N <= 1 has none
+  // and exports zeros and empty sections.
+  const Report empty;
+  const Report& r = rep != nullptr ? *rep : empty;
   Json totals = Json::object();
-  totals.set("wall_ms",
-             rep != nullptr
-                 ? static_cast<double>(rep->wall_us) / 1000.0
-                 : stats.phase1_ms + stats.phase2_ms + stats.phase3_ms);
+  totals.set("wall_ms", static_cast<double>(r.wall_us) / 1000.0);
   totals.set("workers", static_cast<std::uint64_t>(stats.workers));
-  totals.set("crashed_workers", static_cast<std::uint64_t>(stats.crashed_workers));
+  totals.set("crashed_workers", static_cast<std::uint64_t>(r.crashed_workers()));
   totals.set("completed_workers", static_cast<std::uint64_t>(stats.completed_workers));
   totals.set("tree_depth", static_cast<std::uint64_t>(stats.tree_depth));
-  totals.set("max_build_iters", stats.max_build_iters);
-  totals.set("total_build_iters", stats.total_build_iters);
-  totals.set("cas_successes", stats.cas_successes);
+  totals.set("max_build_iters", r.max_build_iters());
+  totals.set("total_build_iters", r.counter_total(Counter::kBuildIters));
+  totals.set("cas_successes", r.counter_total(Counter::kCasInstalls));
   doc.set("totals", std::move(totals));
 
   Json phases = Json::array();
-  if (rep != nullptr && rep->level != Level::kOff) {
-    for (PhaseId p : rep->phases_present()) {
-      std::uint64_t total_us = 0;
-      std::uint64_t max_us = 0;
-      std::uint32_t workers = 0;
-      for (const WorkerReport& w : rep->workers) {
-        bool any = false;
-        for (const Span& s : w.spans) {
-          if (s.phase != p) continue;
-          any = true;
-          total_us += s.duration_us();
-          max_us = std::max(max_us, s.duration_us());
-        }
-        if (any) ++workers;
+  for (PhaseId p : r.phases_present()) {
+    std::uint64_t total_us = 0;
+    std::uint64_t max_us = 0;
+    std::uint32_t workers = 0;
+    for (const WorkerReport& w : r.workers) {
+      bool any = false;
+      for (const Span& s : w.spans) {
+        if (s.phase != p) continue;
+        any = true;
+        total_us += s.duration_us();
+        max_us = std::max(max_us, s.duration_us());
       }
-      Json ph = Json::object();
-      ph.set("name", phase_name(p));
-      ph.set("max_ms", static_cast<double>(max_us) / 1000.0);
-      ph.set("total_ms", static_cast<double>(total_us) / 1000.0);
-      ph.set("workers", static_cast<std::uint64_t>(workers));
-      phases.push_back(std::move(ph));
+      if (any) ++workers;
     }
-  } else {
-    // Always-on fallback: the engine's three coarse phase clocks.
-    const std::pair<const char*, double> coarse[] = {
-        {"build", stats.phase1_ms},
-        {"sum", stats.phase2_ms},
-        {"place", stats.phase3_ms},
-    };
-    for (const auto& [name, ms] : coarse) {
-      Json ph = Json::object();
-      ph.set("name", name);
-      ph.set("max_ms", ms);
-      ph.set("total_ms", ms);
-      ph.set("workers", static_cast<std::uint64_t>(stats.completed_workers));
-      phases.push_back(std::move(ph));
-    }
+    Json ph = Json::object();
+    ph.set("name", phase_name(p));
+    ph.set("max_ms", static_cast<double>(max_us) / 1000.0);
+    ph.set("total_ms", static_cast<double>(total_us) / 1000.0);
+    ph.set("workers", static_cast<std::uint64_t>(workers));
+    phases.push_back(std::move(ph));
   }
   doc.set("phases", std::move(phases));
 
+  // Every counter, at every level; the ones only Level::kFull records read
+  // 0 at kPhases.
   Json counters = Json::object();
-  if (rep != nullptr && rep->level == Level::kFull) {
+  if (rep != nullptr) {
     for (std::size_t c = 0; c < kCounterCount; ++c) {
       counters.set(counter_name(static_cast<Counter>(c)),
-                   rep->counter_total(static_cast<Counter>(c)));
+                   r.counter_total(static_cast<Counter>(c)));
     }
-  } else {
-    counters.set("cas_installs", stats.cas_successes);
-    counters.set("cas_failures", stats.cas_failures);
-    counters.set("fat_misses", stats.fat_read_misses);
   }
   doc.set("counters", std::move(counters));
 
   Json hists = Json::object();
-  if (rep != nullptr && rep->level == Level::kFull) {
-    hists.set("cas_retries", histogram_json(rep->merged_cas_retries()));
-    hists.set("wat_probes", histogram_json(rep->merged_wat_probes()));
+  if (r.level == Level::kFull) {
+    hists.set("cas_retries", histogram_json(r.merged_cas_retries()));
+    hists.set("wat_probes", histogram_json(r.merged_wat_probes()));
   }
   doc.set("histograms", std::move(hists));
 
   // Per-phase latency sketches (one sample per worker-span): the p50/p99/
   // p999 block the sort-as-a-service story keys on.
   Json sketches = Json::object();
-  if (rep != nullptr && rep->level != Level::kOff) {
-    for (PhaseId p : rep->phases_present()) {
-      sketches.set(phase_name(p), sketch_json(rep->phase_sketch(p)));
-    }
+  for (PhaseId p : r.phases_present()) {
+    sketches.set(phase_name(p), sketch_json(r.phase_sketch(p)));
   }
   doc.set("sketches", std::move(sketches));
 
-  doc.set("contention", native_contention_json(stats, rep));
+  doc.set("contention", native_contention_json(rep));
 
   // Crash post-mortems: the frozen flight-recorder window of every worker
-  // that died mid-run (empty array on clean runs and at Level::kOff).
+  // that died mid-run (empty array on clean runs and when rings are off).
   Json rings = Json::array();
-  if (rep != nullptr) {
-    for (const WorkerReport& w : rep->workers) {
-      if (!w.crashed || w.ring.empty()) continue;
-      Json r = Json::object();
-      r.set("tid", static_cast<std::uint64_t>(w.tid));
-      r.set("total_events", w.ring_total);
-      Json events = Json::array();
-      for (const FlightEvent& e : w.ring) events.push_back(flight_event_json(e));
-      r.set("events", std::move(events));
-      rings.push_back(std::move(r));
-    }
+  for (const WorkerReport& w : r.workers) {
+    if (!w.crashed || w.ring.empty()) continue;
+    Json ring = Json::object();
+    ring.set("tid", static_cast<std::uint64_t>(w.tid));
+    ring.set("total_events", w.ring_total);
+    Json events = Json::array();
+    for (const FlightEvent& e : w.ring) events.push_back(flight_event_json(e));
+    ring.set("events", std::move(events));
+    rings.push_back(std::move(ring));
   }
   doc.set("rings", std::move(rings));
   return doc;

@@ -83,9 +83,9 @@ Json sketch_json(const LatencySketch& sk);
 // (kind rendered by name; see ring.h for the per-kind payload table).
 Json flight_event_json(const FlightEvent& e);
 
-// One native run.  Uses stats.telemetry when present (per-phase spans,
-// per-site counters, histograms); degrades to the always-on SortStats
-// counters and phase times at Level::kOff.
+// One native run.  Everything but the worker counts and the tree depth is
+// read off stats.telemetry (per-phase spans, counters, histograms at
+// Level::kFull); a run with no Report (N <= 1) exports empty sections.
 Json native_stats_json(const NativeRunInfo& info, const SortStats& stats);
 
 // One simulated run, from the machine's Metrics.  When `commit` is given and

@@ -45,6 +45,7 @@ const char* counter_name(Counter counter) {
   switch (counter) {
     case Counter::kCasInstalls: return "cas_installs";
     case Counter::kCasFailures: return "cas_failures";
+    case Counter::kBuildIters: return "build_iters";
     case Counter::kWatClaims: return "wat_claims";
     case Counter::kWatProbes: return "wat_probes";
     case Counter::kFatHits: return "fat_hits";
@@ -102,6 +103,17 @@ std::uint64_t Report::counter_total(Counter c) const {
   return t;
 }
 
+std::uint64_t Report::max_build_iters() const {
+  std::uint64_t m = 0;
+  for (const WorkerReport& w : workers) m = std::max(m, w.max_build_iters);
+  return m;
+}
+
+std::uint32_t Report::crashed_workers() const {
+  return static_cast<std::uint32_t>(std::count_if(
+      workers.begin(), workers.end(), [](const WorkerReport& w) { return w.crashed; }));
+}
+
 LogHistogram Report::merged_cas_retries() const {
   LogHistogram h;
   for (const WorkerReport& w : workers) h.merge(w.cas_retries);
@@ -155,6 +167,9 @@ Recorder::Recorder(Level level, std::uint32_t max_workers,
       slots_(new WorkerScratch[max_workers]) {
   for (std::uint32_t tid = 0; tid < slot_count_; ++tid) {
     slots_[tid].rep.tid = tid;
+    // A worker records at most one span per phase, so workers never
+    // allocate; reuse() keeps the capacity.
+    slots_[tid].rep.spans.reserve(kPhaseCount);
     slots_[tid].ring.reset(ring_capacity);
     slots_[tid].t0 = t0_;
     slots_[tid].detail = detail();
@@ -169,6 +184,7 @@ void Recorder::reuse(Level level) {
     s.rep.crashed = false;
     s.rep.spans.clear();         // keeps capacity
     s.rep.counters.fill(0);
+    s.rep.max_build_iters = 0;
     s.rep.cas_retries = {};
     s.rep.wat_probes = {};
     s.rep.ring.clear();          // keeps capacity

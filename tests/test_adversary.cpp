@@ -415,9 +415,9 @@ TEST(Probe, LandmarksAreOrderedAndPresent) {
   EXPECT_GT(probe.phase2_entry, 0u);
   EXPECT_GT(probe.phase3_entry, probe.phase2_entry);
   // 64 elements insert below the root: 63 install CASes.
-  EXPECT_EQ(probe.install_cas_rounds.size(), 63u);
-  EXPECT_TRUE(std::is_sorted(probe.install_cas_rounds.begin(),
-                             probe.install_cas_rounds.end()));
+  EXPECT_EQ(probe.cas_install_rounds.size(), 63u);
+  EXPECT_TRUE(std::is_sorted(probe.cas_install_rounds.begin(),
+                             probe.cas_install_rounds.end()));
 }
 
 // ------------------------------------------- the acceptance round trip

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <thread>
 #include <vector>
@@ -184,6 +185,40 @@ TEST(SortSession, DestructorWhileWorkersStillRunning) {
     session.reap_worker(b);
     // no wait(): the destructor races the workers' progress
   }
+  expect_sorted_permutation(orig, v);
+}
+
+// stats() and telemetry() read what wait() writes (the Report snapshot and
+// the lazily measured depth); both take the session lock, so polling them
+// from another thread while wait() runs is race-free (TSan covers this suite).
+TEST(SortSession, StatsPolledConcurrentlyWithWait) {
+  auto v = random_data(20000, 10);
+  auto orig = v;
+  wfsort::SortSession<std::uint64_t> session(std::span<std::uint64_t>(v),
+                                             Options{.threads = 2});
+  session.spawn_worker();
+  session.spawn_worker();
+  std::atomic<bool> polling{false};
+  std::atomic<bool> waited{false};
+  std::jthread poller([&] {
+    while (!waited.load(std::memory_order_acquire)) {
+      const wfsort::SortStats s = session.stats();
+      EXPECT_EQ(s.n, 20000u);
+      if (s.telemetry != nullptr) {
+        EXPECT_EQ(s.cas_successes, 20000u - 1);
+      }
+      (void)session.telemetry();
+      polling.store(true, std::memory_order_release);
+    }
+  });
+  while (!polling.load(std::memory_order_acquire)) std::this_thread::yield();
+  session.wait();
+  waited.store(true, std::memory_order_release);
+  poller.join();
+  const wfsort::SortStats s = session.stats();
+  ASSERT_NE(s.telemetry, nullptr);
+  EXPECT_EQ(s.telemetry, session.telemetry());
+  EXPECT_EQ(s.cas_successes, 20000u - 1);
   expect_sorted_permutation(orig, v);
 }
 

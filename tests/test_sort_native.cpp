@@ -147,10 +147,13 @@ TEST(SortNative, PhaseTimingsAreRecorded) {
   SortStats stats;
   wfsort::sort(std::span<std::uint64_t>(v), Options{.threads = 2}, &stats);
   ASSERT_TRUE(std::is_sorted(v.begin(), v.end()));
-  // All phases did measurable work for this size.
-  EXPECT_GT(stats.phase1_ms, 0.0);
-  EXPECT_GT(stats.phase2_ms, 0.0);
-  EXPECT_GT(stats.phase3_ms, 0.0);
+  // All phases did measurable work for this size.  A stats request records
+  // the phase spans even with telemetry off.
+  ASSERT_NE(stats.telemetry, nullptr);
+  using wfsort::telemetry::PhaseId;
+  EXPECT_GT(stats.telemetry->phase_max_ms(PhaseId::kBuild), 0.0);
+  EXPECT_GT(stats.telemetry->phase_max_ms(PhaseId::kSum), 0.0);
+  EXPECT_GT(stats.telemetry->phase_max_ms(PhaseId::kPlace), 0.0);
 }
 
 TEST(SortNative, SortPermutationLeavesDataUntouched) {

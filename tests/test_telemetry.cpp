@@ -16,6 +16,7 @@
 #include "common/rng.h"
 #include "core/session.h"
 #include "core/sort.h"
+#include "runtime/fault_plan.h"
 #include "runtime/scenario.h"
 #include "runtime/search.h"
 #include "telemetry/recorder.h"
@@ -138,8 +139,19 @@ TEST(Recorder, ScratchCloserTruncatesOpenSpan) {
 // ---- native engine recording --------------------------------------------
 
 TEST(NativeTelemetry, OffByDefaultAndFreeOfReport) {
+  // A kOff run whose caller wants no SortStats builds no Recorder at all.
+  auto v = random_data(20000, 42);
+  wfsort::detail::Engine<std::uint64_t, std::less<std::uint64_t>> engine(
+      std::span<std::uint64_t>(v), {}, Options{.threads = 4});
+  EXPECT_EQ(engine.recorder(), nullptr);
+  // Asking for SortStats makes the same run record at kPhases, without rings.
   const SortStats stats = sorted_run(20000, Variant::kDeterministic, tel::Level::kOff);
-  EXPECT_EQ(stats.telemetry, nullptr);
+  ASSERT_NE(stats.telemetry, nullptr);
+  EXPECT_EQ(stats.telemetry->level, tel::Level::kPhases);
+  for (const tel::WorkerReport& w : stats.telemetry->workers) {
+    EXPECT_TRUE(w.ring.empty());
+    EXPECT_EQ(w.ring_total, 0u);
+  }
 }
 
 TEST(NativeTelemetry, PhasesLevelRecordsSpansOnly) {
@@ -157,8 +169,9 @@ TEST(NativeTelemetry, PhasesLevelRecordsSpansOnly) {
     EXPECT_NE(std::find(present.begin(), present.end(), p), present.end())
         << tel::phase_name(p);
   }
-  // Histograms and counters are full-level only.
-  EXPECT_EQ(stats.telemetry->counter_total(tel::Counter::kCasInstalls), 0u);
+  // The run counters SortStats reads are recorded at kPhases; histograms
+  // are full-level only.
+  EXPECT_EQ(stats.telemetry->counter_total(tel::Counter::kCasInstalls), 20000u - 1);
   EXPECT_EQ(stats.telemetry->merged_cas_retries().total, 0u);
 }
 
@@ -240,6 +253,65 @@ TEST(NativeTelemetry, FullLevelLcRecordsStageSpans) {
             0u);
 }
 
+// SortStats has no counters of its own: every counter field is read off
+// the run's Report, at every level a stats request can record at, crashed
+// workers' tallies included.
+TEST(NativeTelemetry, SortStatsEqualsReport) {
+  constexpr std::size_t kN = 20000;
+  constexpr std::uint32_t kThreads = 4;
+  for (const Variant variant : {Variant::kDeterministic, Variant::kLowContention}) {
+    for (const tel::Level level : {tel::Level::kOff, tel::Level::kPhases, tel::Level::kFull}) {
+      for (const bool faults : {false, true}) {
+        const std::string where = std::string(variant == Variant::kDeterministic ? "det" : "lc") +
+                                  " level=" + tel::level_name(level) +
+                                  (faults ? " staggered kills" : "");
+        auto v = random_data(kN, 77);
+        Options opts;
+        opts.threads = kThreads;
+        opts.variant = variant;
+        opts.telemetry = level;
+        wfsort::runtime::FaultPlan plan(kThreads);
+        if (faults) {
+          plan.crash_at(1, 1);
+          plan.crash_at(2, 2000);
+          plan.crash_at(3, 15000);
+        }
+        SortStats stats;
+        ASSERT_TRUE(wfsort::sort_with_faults(std::span<std::uint64_t>(v), opts, plan, &stats))
+            << where;
+        ASSERT_TRUE(std::is_sorted(v.begin(), v.end())) << where;
+        ASSERT_NE(stats.telemetry, nullptr) << where;
+        const tel::Report& rep = *stats.telemetry;
+        EXPECT_EQ(rep.level, std::max(level, tel::Level::kPhases)) << where;
+        EXPECT_EQ(stats.cas_successes, rep.counter_total(tel::Counter::kCasInstalls)) << where;
+        EXPECT_EQ(stats.cas_failures, rep.counter_total(tel::Counter::kCasFailures)) << where;
+        EXPECT_EQ(stats.fat_read_misses, rep.counter_total(tel::Counter::kFatMisses)) << where;
+        EXPECT_EQ(stats.total_build_iters, rep.counter_total(tel::Counter::kBuildIters)) << where;
+        EXPECT_EQ(stats.max_build_iters, rep.max_build_iters()) << where;
+        EXPECT_EQ(stats.crashed_workers, rep.crashed_workers()) << where;
+        EXPECT_EQ(stats.crashed_workers + stats.completed_workers, kThreads) << where;
+        if (faults) {
+          // Worker 1 dies at its first checkpoint; the later kills land only
+          // if the survivors have not finished the sort by then.
+          EXPECT_GE(stats.crashed_workers, 1u) << where;
+          continue;
+        }
+        EXPECT_EQ(stats.crashed_workers, 0u) << where;
+        // Real values, not zeros.  One install per non-root element of the
+        // pivot tree; lc also installs the non-root elements of each of its
+        // two group pre-sort trees (127-element slices at this N and t),
+        // one of which becomes the pivot tree's top.
+        const std::uint64_t installs =
+            variant == Variant::kDeterministic ? kN - 1 : kN - 1 + (127 - 1);
+        EXPECT_EQ(stats.cas_successes, installs) << where;
+        EXPECT_GT(stats.total_build_iters, 0u) << where;
+        EXPECT_GE(stats.total_build_iters, stats.cas_successes) << where;
+        EXPECT_LE(stats.max_build_iters, kN - 1) << where;  // Lemma 2.4
+      }
+    }
+  }
+}
+
 TEST(NativeTelemetry, SessionExposesReportAfterWait) {
   auto v = random_data(20000, 7);
   Options opts;
@@ -310,9 +382,11 @@ TEST(StatsSchema, NativeOffLevelStillValidates) {
   const Json doc = tel::native_stats_json(tel::native_run_info(opts, 20000), stats);
   std::string error;
   EXPECT_TRUE(tel::validate_stats_json(doc, &error)) << error;
-  // The coarse fallback still reports the paper's three phases.
-  ASSERT_EQ(doc.at("phases").items().size(), 3u);
-  EXPECT_EQ(doc.at("phases").items()[0].at("name").as_string(), "build");
+  // The stats request recorded spans: the paper's three phases plus the
+  // copy-back, under their own names.
+  std::vector<std::string> names;
+  for (const Json& ph : doc.at("phases").items()) names.push_back(ph.at("name").as_string());
+  EXPECT_EQ(names, (std::vector<std::string>{"build", "sum", "place", "copy_back"}));
 }
 
 TEST(StatsSchema, SimScenarioProducesValidStats) {

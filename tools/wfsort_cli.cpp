@@ -239,12 +239,14 @@ int run_sort(const wfsort::CliFlags& flags) {
 
   bool ok = true;
   for (std::size_t i = 1; i < data.size(); ++i) ok &= data[i - 1] <= data[i];
+  // The Report's wall time (run start to snapshot); N <= 1 has no Report.
+  const double wall_ms =
+      stats.telemetry != nullptr ? static_cast<double>(stats.telemetry->wall_us) / 1000.0
+                                 : 0.0;
   std::fprintf(stderr,
                "sorted %zu keys: %s  (%.2f ms, depth=%u, max build iters=%llu, "
                "workers=%u)\n",
-               data.size(), ok ? "ok" : "BROKEN",
-               stats.phase1_ms + stats.phase2_ms + stats.phase3_ms,
-               stats.tree_depth,
+               data.size(), ok ? "ok" : "BROKEN", wall_ms, stats.tree_depth,
                static_cast<unsigned long long>(stats.max_build_iters), stats.workers);
 
   const std::string stats_path = flags.str("stats-json");
@@ -257,7 +259,7 @@ int run_sort(const wfsort::CliFlags& flags) {
   if (!trace_path.empty()) {
     if (stats.telemetry == nullptr) {
       std::fprintf(stderr,
-                   "--trace-out needs telemetry (single-threaded runs record none)\n");
+                   "--trace-out: no trace (runs of at most one key record none)\n");
     } else {
       std::string error;
       const wfsort::Json doc = tel::chrome_trace_json(*stats.telemetry, "wfsort sort");
