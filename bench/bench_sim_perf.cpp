@@ -90,8 +90,9 @@ BENCHMARK(BM_SimLcSort)->Apply([](benchmark::internal::Benchmark* b) {
 });
 
 // Custom main instead of BENCHMARK_MAIN(): stamp this binary's own build
-// type into the report context (see bench_e11_native.cpp) so the bench
-// scripts can refuse to commit debug-build numbers.
+// type into the report context (the context's library_build_type describes
+// the distro libbenchmark package, not this build) so the bench script can
+// refuse to commit debug-build numbers.
 int main(int argc, char** argv) {
 #ifdef NDEBUG
   benchmark::AddCustomContext("wfsort_build_type", "release");

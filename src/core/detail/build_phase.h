@@ -47,7 +47,7 @@ inline constexpr std::uint64_t kCasBurstThreshold = 8;
 
 struct BuildResult {
   std::uint64_t iterations = 0;    // trips around the Figure-4 loop
-  std::uint64_t cas_failures = 0;  // CAS attempts / probes lost to another processor
+  std::uint64_t cas_failures = 0;  // install CASes that returned false (lost a race)
   std::uint64_t installs = 0;      // successful installing CASes (0 or 1)
 };
 
@@ -69,8 +69,9 @@ struct BuildTally {
   }
 };
 
-// Level::kFull detail of one finished descent: its CAS-retry histogram
-// sample and, past the threshold, a flight-recorder burst event.
+// Level::kFull detail of one finished descent: its lost-CAS histogram
+// sample (`cas_retries`) and, past the threshold, a flight-recorder burst
+// event.
 inline void record_descent(telemetry::WorkerScratch* tel, std::int64_t elem,
                            std::uint64_t fails) {
   tel->rep.cas_retries.add(fails);
@@ -104,10 +105,10 @@ BuildResult build_from(TreeState<Key, Compare>& st, std::int64_t i,
         return r;
       }
       c = expected;  // some processor won the slot concurrently
+      ++r.cas_failures;
     }
     WFSORT_DCHECK(c != kNoIdx);
     if (c == i) return r;
-    ++r.cas_failures;
     parent = c;
   }
 }
@@ -170,7 +171,7 @@ bool build_batch(TreeState<Key, Compare>& st, Stripe stripe, BuildTally& tally,
     // A 32-bit pair keeps a lane at 40 bytes for 8-byte keys (48 bytes cost
     // ~5% of phase 1 at N = 2^14, t = 4 on a 4-vCPU Xeon).  pos < wat_batch
     // < 2^32; fails stays below `iterations`.
-    std::uint32_t fails;  // lost probes, tallied when the element completes
+    std::uint32_t fails;  // lost install CASes, tallied when the element completes
     std::uint32_t pos;    // position in the stripe's order (decides slot races)
   };
   [[maybe_unused]] bool tel_detail = false;
@@ -257,7 +258,10 @@ bool build_batch(TreeState<Key, Compare>& st, Stripe stripe, BuildTally& tally,
         installed = slot.compare_exchange_strong(expected, ln.elem,
                                                  std::memory_order_acq_rel,
                                                  std::memory_order_acquire);
-        if (!installed) c = expected;
+        if (!installed) {
+          c = expected;
+          ++ln.fails;
+        }
       }
       ++ln.iterations;
       WFSORT_DCHECK(ln.iterations <= static_cast<std::uint64_t>(st.n()));
@@ -267,7 +271,7 @@ bool build_batch(TreeState<Key, Compare>& st, Stripe stripe, BuildTally& tally,
           if (tel_detail) record_descent(tel, ln.elem, ln.fails);
         }
         if (!keep_going()) {
-          // Aborted mid-batch: the still-in-flight lanes' lost probes happened
+          // Aborted mid-batch: the still-in-flight lanes' lost CASes happened
           // too (slot l was already added above).
           for (int k = 0; k < active; ++k) {
             if (k != l) tally.cas_failures += lanes[k].fails;
@@ -288,7 +292,6 @@ bool build_batch(TreeState<Key, Compare>& st, Stripe stripe, BuildTally& tally,
         }
         continue;  // the new occupant of slot l steps next
       }
-      ++ln.fails;
       ln.parent = c;
       st.prefetch(c);  // overlap this miss with the other lanes' steps
       ++l;
@@ -342,15 +345,14 @@ bool build_lanes(TreeState<Key, Compare>& st, const std::int64_t* elems,
     std::int64_t parent;
     Key ekey;  // cached key of elem, gathered once at startup for the batch compare
     std::uint64_t iterations;
-    std::uint64_t fails;
-    std::uint32_t lost;  // lost install CASes (drives the backoff schedule)
+    std::uint32_t lost;  // lost install CASes (tallied; drives the backoff schedule)
   };
   [[maybe_unused]] bool tel_detail = false;
   if constexpr (kTel) tel_detail = tel != nullptr && tel->detail;
   Lane lanes[kBuildLanes];
   int active = 0;
   for (int k = 0; k < count && active < kBuildLanes; ++k) {
-    lanes[active++] = {elems[k], parents[k], st.key_of(elems[k]), 0, 0, 0};
+    lanes[active++] = {elems[k], parents[k], st.key_of(elems[k]), 0, 0};
     st.prefetch(parents[k]);
   }
 
@@ -392,13 +394,13 @@ bool build_lanes(TreeState<Key, Compare>& st, const std::int64_t* elems,
       ++ln.iterations;
       WFSORT_DCHECK(ln.iterations <= static_cast<std::uint64_t>(st.n()));
       if (installed || c == ln.elem) {
-        tally.add({ln.iterations, ln.fails, installed ? 1u : 0u});
+        tally.add({ln.iterations, ln.lost, installed ? 1u : 0u});
         if constexpr (kTel) {
-          if (tel_detail) record_descent(tel, ln.elem, ln.fails);
+          if (tel_detail) record_descent(tel, ln.elem, ln.lost);
         }
         if (!keep_going()) {
           for (int k = 0; k < active; ++k) {
-            if (k != l) tally.cas_failures += lanes[k].fails;
+            if (k != l) tally.cas_failures += lanes[k].lost;
           }
           return false;
         }
@@ -408,7 +410,6 @@ bool build_lanes(TreeState<Key, Compare>& st, const std::int64_t* elems,
         }
         continue;
       }
-      ++ln.fails;
       ln.parent = c;
       st.prefetch(c);
       ++l;

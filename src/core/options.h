@@ -147,10 +147,12 @@ struct SortStats {
   // 0 for Phase1::kPartition runs, which build no tree, and for N <= 1.
   std::uint32_t tree_depth = 0;
 
-  // Failed CAS attempts during tree building (a native proxy for phase-1
-  // memory contention), and the successful installs they raced against
-  // (N-1 on a completed det-tree run: one install per non-root element;
-  // the low-contention variant adds its group pre-sorts' installs).
+  // Install CASes that returned false during tree building, i.e. lost to
+  // another worker (phase-1 memory contention; 0 on a one-thread run), and
+  // the successful installs they raced against (N-1 on a completed det-tree
+  // run: one install per non-root element; the low-contention variant adds
+  // its group pre-sorts' installs).  Occupied-slot hops are not failures:
+  // they number total_build_iters - cas_successes.
   std::uint64_t cas_failures = 0;
   std::uint64_t cas_successes = 0;
 

@@ -14,8 +14,8 @@
 // File format (validated by schema.h validate_monitor_jsonl, rendered by
 // `wfsort report`): one session per run, a "header" record (schema,
 // build_type provenance, source substrate, run config echo) followed by
-// "sample" records.  Appending is deliberate — a bench run writes one
-// session per rep into the same file.
+// "sample" records.  Appending is deliberate — each monitored run adds its
+// own session, so several runs can share one file.
 #pragma once
 
 #include <chrono>

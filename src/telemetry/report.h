@@ -72,7 +72,7 @@ const char* phase_name(PhaseId phase);
 // work-allocation and cutoff behavior.
 enum class Counter : std::uint8_t {
   kCasInstalls = 0,   // successful child-slot install CASes (phase 1)
-  kCasFailures,       // probes/CASes lost to another worker (phase 1)
+  kCasFailures,       // install CASes lost to another worker (phase 1)
   kBuildIters,        // Figure-4 loop iterations over all inserted elements
   kWatClaims,         // job leaves this worker claimed (WAT or LC-WAT)
   kWatProbes,         // WAT tree nodes visited / LC-WAT random probes
@@ -147,7 +147,7 @@ struct Span {
 
 // Everything one worker recorded.  A span list ordered by begin time (each
 // worker's phases are sequential), counters, and the two per-element
-// histograms: CAS retries per inserted element (contention depth) and
+// histograms: lost install CASes per inserted element (contention depth) and
 // work-allocation probes per claimed job.
 struct WorkerReport {
   std::uint32_t tid = 0;

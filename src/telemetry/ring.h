@@ -183,7 +183,7 @@ enum class FlightKind : std::uint8_t {
   kPhaseEnter = 0,  // a8 = PhaseId
   kPhaseExit,       // a8 = PhaseId, value = span duration (us)
   kWatClaim,        // a8 = 0 WAT / 1 LC-WAT, a32 = probes, value = job index
-  kCasFailBurst,    // a32 = CAS fails on one element, value = element index
+  kCasFailBurst,    // a32 = lost CASes of one element, value = element index
   kLeafBlock,       // a8 = 0 won / 1 lost, a32 = block len, value = node
   kFault,           // a8 = FaultCode, value = kill/suspend round or step
   kSimOp,           // a8 = pram OpKind, a32 = pid, value = address

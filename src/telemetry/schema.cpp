@@ -17,8 +17,8 @@ const char* phase1_name(Phase1 phase1) {
   return "?";
 }
 
-// Shared provenance check for stats documents and the bench/scaling
-// envelopes.  A missing build_type (pre-provenance documents) is tolerated
+// Shared provenance check for stats documents and monitor headers.  A
+// missing build_type (pre-provenance documents) is tolerated
 // unless the caller demands a release build.
 bool check_build_type(const Json& doc, bool require_release,
                       std::string* error) {
@@ -444,144 +444,6 @@ const char* build_type_name() {
 #endif
 }
 
-Json make_bench_doc() {
-  Json doc = Json::object();
-  doc.set("schema", kBenchSchema);
-  doc.set("build_type", build_type_name());
-  // Envelope-level measurement caveats: stated once here so individual docs
-  // and reports don't need to repeat them as footnotes.
-  Json caveats = Json::object();
-  caveats.set("library_build_type",
-              "google-benchmark's context.library_build_type describes the "
-              "distro libbenchmark package (often \"debug\"), NOT this "
-              "repo's binaries; wfsort provenance is this envelope's "
-              "build_type and the wfsort_build_type benchmark counter");
-  doc.set("caveats", std::move(caveats));
-  doc.set("runs", Json::array());
-  return doc;
-}
-
-bool validate_bench_json(const Json& doc, std::string* error,
-                         bool require_release) {
-  error->clear();
-  if (doc.type() != Json::Type::kObject) {
-    *error = "bench document is not an object";
-    return false;
-  }
-  if (!check_key(doc, "schema", Json::Type::kString, error)) return false;
-  if (doc.at("schema").as_string() != kBenchSchema) {
-    *error = "unexpected schema: " + doc.at("schema").as_string();
-    return false;
-  }
-  if (!check_build_type(doc, require_release, error)) return false;
-  if (!check_key(doc, "runs", Json::Type::kArray, error)) return false;
-  for (const Json& run : doc.at("runs").items()) {
-    if (!validate_stats_json(run, error)) return false;
-  }
-  // Optional "pool" group (`wfsort bench --pool`): the SortPool lifetime
-  // counters, plus the --back-to-back small-N cold-vs-pooled sweep rows
-  // when present.
-  if (const Json* pool = doc.find("pool"); pool != nullptr) {
-    if (pool->type() != Json::Type::kObject) {
-      *error = "pool group is not an object";
-      return false;
-    }
-    static constexpr const char* kPoolKeys[] = {
-        "threads",           "runs",
-        "caller_only_runs",  "bypass_runs",
-        "arena_reuse_bytes", "arena_grow_events",
-        "arena_held_bytes",  "wake_ns"};
-    for (const char* key : kPoolKeys) {
-      if (!check_key(*pool, key, Json::Type::kInt, error)) {
-        *error = "pool: " + *error;
-        return false;
-      }
-    }
-    if (const Json* sweep = pool->find("small_n"); sweep != nullptr) {
-      if (sweep->type() != Json::Type::kArray) {
-        *error = "pool.small_n is not an array";
-        return false;
-      }
-      for (const Json& row : sweep->items()) {
-        if (row.type() != Json::Type::kObject) {
-          *error = "pool.small_n row is not an object";
-          return false;
-        }
-        if (!check_key(row, "n", Json::Type::kInt, error) ||
-            !check_key(row, "threads", Json::Type::kInt, error) ||
-            !check_key(row, "reps", Json::Type::kInt, error) ||
-            !check_key(row, "cold_ms", Json::Type::kDouble, error) ||
-            !check_key(row, "pooled_ms", Json::Type::kDouble, error) ||
-            !check_key(row, "speedup", Json::Type::kDouble, error)) {
-          *error = "pool.small_n row: " + *error;
-          return false;
-        }
-      }
-    }
-  }
-  return true;
-}
-
-Json make_scaling_doc() {
-  Json doc = Json::object();
-  doc.set("schema", kScalingSchema);
-  doc.set("build_type", build_type_name());
-  doc.set("config", Json::object());
-  doc.set("threads", Json::array());
-  doc.set("variants", Json::object());
-  return doc;
-}
-
-bool validate_scaling_json(const Json& doc, std::string* error,
-                           bool require_release) {
-  error->clear();
-  if (doc.type() != Json::Type::kObject) {
-    *error = "scaling document is not an object";
-    return false;
-  }
-  if (!check_key(doc, "schema", Json::Type::kString, error)) return false;
-  if (doc.at("schema").as_string() != kScalingSchema) {
-    *error = "unexpected schema: " + doc.at("schema").as_string();
-    return false;
-  }
-  if (!check_build_type(doc, require_release, error)) return false;
-  if (!check_key(doc, "config", Json::Type::kObject, error)) return false;
-  if (!check_key(doc, "threads", Json::Type::kArray, error)) return false;
-  if (doc.at("threads").items().empty()) {
-    *error = "threads sweep is empty";
-    return false;
-  }
-  if (!check_key(doc, "variants", Json::Type::kObject, error)) return false;
-  for (const auto& [variant, vdoc] : doc.at("variants").object_items()) {
-    if (vdoc.type() != Json::Type::kObject) {
-      *error = "variant " + variant + " is not an object";
-      return false;
-    }
-    if (!check_key(vdoc, "points", Json::Type::kArray, error)) {
-      *error = "variant " + variant + ": " + *error;
-      return false;
-    }
-    for (const Json& pt : vdoc.at("points").items()) {
-      if (pt.type() != Json::Type::kObject ||
-          pt.find("threads") == nullptr || pt.find("wall_ms") == nullptr ||
-          pt.find("speedup") == nullptr) {
-        *error = "variant " + variant +
-                 ": point missing threads/wall_ms/speedup";
-        return false;
-      }
-      const Json* contention = pt.find("contention");
-      if (contention == nullptr ||
-          contention->type() != Json::Type::kObject ||
-          contention->find("max_site") == nullptr ||
-          contention->find("max_value") == nullptr) {
-        *error = "variant " + variant + ": point missing contention summary";
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 bool validate_monitor_jsonl(const std::string& text, std::string* error,
                             bool require_release) {
   error->clear();
@@ -618,7 +480,7 @@ bool validate_monitor_jsonl(const std::string& text, std::string* error,
     }
     const std::string& kind = rec.at("record").as_string();
     if (kind == "header") {
-      // Provenance is per header, exactly like the bench envelopes — and a
+      // Provenance is per header, exactly like the stats documents — and a
       // monitor file without it is rejected outright under require_release.
       if (!check_build_type(rec, require_release, error)) return fail(*error);
       if (rec.find("build_type") == nullptr) {

@@ -1,5 +1,5 @@
 // The unified stats JSON schema ("wfsort-stats-v1") — one document shape for
-// both substrates, so tools, bench scripts and CI read the same keys whether
+// both substrates, so tools, scripts and CI read the same keys whether
 // a run went through the native engine or the PRAM simulator.
 //
 // Top-level keys (all always present; see docs/observability.md):
@@ -12,8 +12,6 @@
 //   counters    named event counts (object; key set depends on substrate/level)
 //   histograms  named histogram objects ({kind, total, counts, ...})
 //   contention  max-contention value plus per-site/per-region attribution
-//
-// A bench run wraps several stats documents in a "wfsort-bench-v1" envelope.
 #pragma once
 
 #include <cstdint>
@@ -35,13 +33,12 @@ struct SortStats;
 namespace wfsort::telemetry {
 
 inline constexpr const char kStatsSchema[] = "wfsort-stats-v1";
-inline constexpr const char kBenchSchema[] = "wfsort-bench-v1";
-inline constexpr const char kScalingSchema[] = "wfsort-scaling-v1";
 inline constexpr const char kMonitorSchema[] = "wfsort-monitor-v1";
 
 // "release" or "debug", from the NDEBUG the telemetry library itself was
-// compiled with.  Stamped into every bench/scaling envelope so committed
-// BENCH files carry their provenance — a debug-build number is not a number.
+// compiled with.  Stamped into every stats document and monitor header so a
+// committed artifact carries its provenance — a debug-build number is not a
+// number.
 const char* build_type_name();
 
 // Config echo for a native run; fill by hand or from Options via
@@ -99,43 +96,16 @@ Json sim_stats_json(const SimRunInfo& info, const pram::Metrics& metrics,
 // Structural validation of a stats document (schema name, required keys,
 // key types).  Returns false and sets *error on the first violation.
 // `require_release`: additionally reject documents whose build_type is
-// missing or not "release" (same provenance gate as the envelopes).
+// missing or not "release" (the provenance gate a committed artifact must
+// pass).
 bool validate_stats_json(const Json& doc, std::string* error,
                          bool require_release = false);
-
-// {"schema":"wfsort-bench-v1","build_type":...,"caveats":{...},"runs":[]} —
-// callers push stats documents onto "runs".  The caveats object records
-// measurement caveats ONCE per envelope (e.g. the distro libbenchmark note)
-// instead of as per-document footnotes.  `wfsort bench --pool` additionally
-// sets an optional "pool" object: the SortPool lifetime counters (threads,
-// runs, caller_only_runs, bypass_runs, arena_reuse_bytes,
-// arena_grow_events, arena_held_bytes, wake_ns) and, under --back-to-back,
-// a "small_n" array of cold-vs-pooled latency rows
-// ({n, threads, reps, cold_ms, pooled_ms, speedup}).
-Json make_bench_doc();
-// `require_release`: additionally reject envelopes whose build_type is
-// missing or not "release" (bench provenance — used by the bench scripts and
-// CI before a BENCH file may be committed).
-bool validate_bench_json(const Json& doc, std::string* error,
-                         bool require_release = false);
-
-// Thread-scaling envelope ("wfsort-scaling-v1"):
-//   schema      "wfsort-scaling-v1"
-//   build_type  "release" | "debug"
-//   config      {n, seed, reps, hw_concurrency}
-//   threads     [1, 2, 4, ...] — the sweep
-//   variants    {"det": {"points": [...]}, "lc": {"points": [...]}}
-// Each point: {threads, wall_ms, speedup (vs the variant's t=1 point),
-// contention: {max_site, max_value, sites}}.
-Json make_scaling_doc();
-bool validate_scaling_json(const Json& doc, std::string* error,
-                           bool require_release = false);
 
 // Structural validation of a whole "wfsort-monitor-v1" JSONL file (the live
 // monitor's output; monitor.h documents the record stream).  A file holds
 // one or more sessions, each a "header" record followed by its "sample"
-// records; every header must carry build_type provenance exactly like the
-// bench envelopes (`require_release` rejects missing/non-release values).
+// records; every header must carry build_type provenance exactly like a
+// stats document (`require_release` rejects missing/non-release values).
 bool validate_monitor_jsonl(const std::string& text, std::string* error,
                             bool require_release = false);
 

@@ -2,17 +2,17 @@
 
 #include <fstream>
 
-#include "common/check.h"
-
 namespace wfsort::telemetry {
 namespace {
 
-Json metadata_event(const char* name, int pid, std::int64_t tid,
+constexpr int kPid = 1;
+
+Json metadata_event(const char* name, std::int64_t tid,
                     const std::string& value) {
   Json ev = Json::object();
   ev.set("name", name);
   ev.set("ph", "M");
-  ev.set("pid", pid);
+  ev.set("pid", kPid);
   if (tid >= 0) ev.set("tid", tid);
   Json args = Json::object();
   args.set("name", value);
@@ -22,25 +22,14 @@ Json metadata_event(const char* name, int pid, std::int64_t tid,
 
 }  // namespace
 
-Json chrome_trace_doc() {
-  Json doc = Json::object();
-  doc.set("traceEvents", Json::array());
-  doc.set("displayTimeUnit", "ms");
-  return doc;
-}
-
-void append_chrome_trace(Json* doc, const Report& report, int pid,
-                         const std::string& process_name) {
-  WFSORT_CHECK(doc != nullptr && doc->find("traceEvents") != nullptr);
-  // Json::set copies through; build the array out-of-place and set it back.
-  Json events = doc->at("traceEvents");
-  events.push_back(metadata_event("process_name", pid, -1, process_name));
+Json chrome_trace_json(const Report& report, const std::string& process_name) {
+  Json events = Json::array();
+  events.push_back(metadata_event("process_name", -1, process_name));
   for (const WorkerReport& w : report.workers) {
     std::string label = "worker " + std::to_string(w.tid);
     if (w.crashed) label += " (crashed)";
     events.push_back(
-        metadata_event("thread_name", pid, static_cast<std::int64_t>(w.tid),
-                       label));
+        metadata_event("thread_name", static_cast<std::int64_t>(w.tid), label));
     for (const Span& s : w.spans) {
       Json ev = Json::object();
       ev.set("name", phase_name(s.phase));
@@ -48,17 +37,14 @@ void append_chrome_trace(Json* doc, const Report& report, int pid,
       ev.set("ph", "X");
       ev.set("ts", s.begin_us);
       ev.set("dur", s.duration_us());
-      ev.set("pid", pid);
+      ev.set("pid", kPid);
       ev.set("tid", static_cast<std::uint64_t>(s.tid));
       events.push_back(std::move(ev));
     }
   }
-  doc->set("traceEvents", std::move(events));
-}
-
-Json chrome_trace_json(const Report& report, const std::string& process_name) {
-  Json doc = chrome_trace_doc();
-  append_chrome_trace(&doc, report, /*pid=*/1, process_name);
+  Json doc = Json::object();
+  doc.set("traceEvents", std::move(events));
+  doc.set("displayTimeUnit", "ms");
   return doc;
 }
 

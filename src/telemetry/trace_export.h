@@ -4,8 +4,7 @@
 // understood by chrome://tracing and ui.perfetto.dev: one "X" (complete)
 // event per recorded span, timestamped in microseconds on the run's shared
 // clock, plus "M" metadata events naming the process and each worker's
-// track.  Multiple runs can share one trace by giving each a distinct pid
-// (wfsort bench exports det and lc runs side by side this way).
+// track.  One trace holds one run, as process 1.
 #pragma once
 
 #include <string>
@@ -15,15 +14,8 @@
 
 namespace wfsort::telemetry {
 
-// {"traceEvents":[],"displayTimeUnit":"ms"} — append events, then dump.
-Json chrome_trace_doc();
-
-// Append one run's spans (and its process/thread metadata) to a trace
-// document's "traceEvents" array.
-void append_chrome_trace(Json* doc, const Report& report, int pid,
-                         const std::string& process_name);
-
-// One-run convenience wrapper.
+// {"traceEvents":[...],"displayTimeUnit":"ms"}: the run's process and
+// worker-track metadata, then one event per span.
 Json chrome_trace_json(const Report& report,
                        const std::string& process_name = "wfsort");
 

@@ -2,7 +2,7 @@
 // one-shot sorts in every observable except speed.
 //
 // The load-bearing assertions:
-//   * Bit-identical output: back-to-back pooled runs across all three
+//   * Bit-identical output: consecutive pooled runs across all three
 //     engine variants, shrinking and growing N, default and non-default
 //     knobs — each compared element-for-element against a cold
 //     wfsort::sort of the same input.
@@ -184,7 +184,7 @@ TEST(SortPoolGolden, NonDefaultKnobsAndKnobChangesBetweenRuns) {
 
 // The three variants share the pool's one arena: each run starts on the
 // slots (and stale bytes) another variant's run left behind, and
-// interleaving them back-to-back must not cross-contaminate the output.
+// interleaving them one after another must not cross-contaminate the output.
 TEST(SortPoolGolden, InterleavedVariantsShareOnePool) {
   SortPool pool(4);
   std::uint64_t seed = 500;
@@ -461,7 +461,7 @@ TEST(SortPoolStaleStorage, PartitionLaneNeverReadsPreviousRunBytes) {
   }
 }
 
-// Sanity on the counters the CLI exports into the bench schema.
+// Sanity on the PoolStats lifetime counters.
 TEST(SortPoolStats, CountersAreCoherent) {
   SortPool pool(2);
   EXPECT_EQ(pool.stats().runs, 0u);

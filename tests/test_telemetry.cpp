@@ -10,6 +10,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/json.h"
@@ -310,6 +311,18 @@ TEST(NativeTelemetry, SortStatsEqualsReport) {
       }
     }
   }
+  // cas_failures counts lost CASes, not occupied-slot hops: one worker has
+  // no rival, so a one-thread det-tree or lc run loses none.
+  for (const Variant variant : {Variant::kDeterministic, Variant::kLowContention}) {
+    auto v = random_data(kN, 78);
+    Options opts;
+    opts.threads = 1;
+    opts.variant = variant;
+    opts.phase1 = wfsort::Phase1::kTree;
+    SortStats stats;
+    wfsort::sort(std::span<std::uint64_t>(v), opts, &stats);
+    EXPECT_EQ(stats.cas_failures, 0u) << (variant == Variant::kDeterministic ? "det" : "lc");
+  }
 }
 
 TEST(NativeTelemetry, SessionExposesReportAfterWait) {
@@ -412,24 +425,35 @@ TEST(StatsSchema, ValidatorRejectsMissingKeys) {
   EXPECT_FALSE(error.empty());
 }
 
+// The three native configurations (det tree, det partition, lc) each export
+// a valid full-level stats document; the retired bench envelope's schema
+// name is not one the validator accepts.
 TEST(StatsSchema, BenchEnvelopeValidates) {
-  const SortStats stats = sorted_run(20000, Variant::kDeterministic, tel::Level::kFull);
-  Options opts;
-  opts.threads = 4;
-  opts.telemetry = tel::Level::kFull;
-  Json bench = tel::make_bench_doc();
-  // The envelope carries the distro-libbenchmark caveat once, instead of
-  // per-document footnotes.
-  ASSERT_NE(bench.find("caveats"), nullptr);
-  EXPECT_NE(bench.at("caveats").find("library_build_type"), nullptr);
-  Json runs = bench.at("runs");
-  runs.push_back(tel::native_stats_json(tel::native_run_info(opts, 20000), stats));
-  bench.set("runs", std::move(runs));
+  const std::pair<Variant, wfsort::Phase1> configs[] = {
+      {Variant::kDeterministic, wfsort::Phase1::kTree},
+      {Variant::kDeterministic, wfsort::Phase1::kPartition},
+      {Variant::kLowContention, wfsort::Phase1::kTree},
+  };
   std::string error;
-  EXPECT_TRUE(tel::validate_bench_json(bench, &error)) << error;
+  for (const auto& [variant, phase1] : configs) {
+    auto v = random_data(20000, 42);
+    Options opts;
+    opts.threads = 4;
+    opts.variant = variant;
+    opts.phase1 = phase1;
+    opts.telemetry = tel::Level::kFull;
+    SortStats stats;
+    wfsort::sort(std::span<std::uint64_t>(v), opts, &stats);
+    ASSERT_TRUE(std::is_sorted(v.begin(), v.end()));
+    const Json doc = tel::native_stats_json(tel::native_run_info(opts, v.size()), stats);
+    EXPECT_TRUE(tel::validate_stats_json(doc, &error))
+        << doc.at("config").at("variant").as_string() << "/"
+        << doc.at("config").at("phase1").as_string() << ": " << error;
 
-  bench.set("schema", "nonsense");
-  EXPECT_FALSE(tel::validate_bench_json(bench, &error));
+    Json renamed = doc;
+    renamed.set("schema", "wfsort-bench-v1");
+    EXPECT_FALSE(tel::validate_stats_json(renamed, &error));
+  }
 }
 
 // ---- Chrome trace export ------------------------------------------------

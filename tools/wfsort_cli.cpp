@@ -3,10 +3,8 @@
 //   wfsort sort --n=1000000 --threads=8 --variant=lc --dist=uniform
 //   wfsort sort file.txt                 # sort whitespace-separated integers
 //   wfsort sim  --n=256 --procs=256 --variant=det --schedule=serial --trace=20
-//   wfsort bench --n=1048576 --threads=8 --reps=3 --stats-json=stats.json
-//   wfsort bench --pool --back-to-back --n=262144 --stats-json=stats.json
-//   wfsort scaling --n=1048576 --reps=3 --stats-json=scaling.json
-//   wfsort validate BENCH_native_perf.json --require-release
+//   wfsort sort --n=1048576 --phase1=partition --stats-json=stats.json
+//   wfsort validate stats.json --require-release
 //   wfsort hunt --n=256 --procs=16 --prune=placed --out=repro.json
 //   wfsort replay repro.json
 //   wfsort sort --n=1000000 --monitor-out=monitor.jsonl
@@ -15,29 +13,24 @@
 // `sort` runs the native wait-free sorter (reads integers from positional
 // files, or generates --n keys); `sim` runs the chosen variant on the CRCW
 // PRAM simulator and prints rounds, contention and (optionally) the tail of
-// the execution trace.  `bench` runs the native configurations (det tree,
-// det partition, lc) at full telemetry plus in-process std::sort /
-// parallel-mergesort baselines and emits the unified stats envelope with a
-// derived gap-vs-std::sort table.  `scaling` sweeps both variants over
-// a thread count list (default: 1, 2, 4, ... up to the hardware concurrency)
-// and emits a "wfsort-scaling-v1" document of speedup curves and per-point
-// max contention.  `validate` structurally checks an emitted stats/bench/
-// scaling JSON file; with --require-release it additionally rejects
-// envelopes not produced by a release build (bench provenance — committed
-// BENCH files must pass this).  `hunt` unleashes the searching adversary —
-// fault scripts swept across scheduler families — and writes a replay
-// artifact if any scenario fails; `replay` re-executes such an artifact and
-// reports whether the failure reproduces (see docs/fault_model.md and
-// docs/observability.md).
+// the execution trace.  Native performance is measured by the repository
+// benchmark (benchmark/README.md), not here.  `validate` structurally checks
+// an emitted stats document, monitor stream or google-benchmark report;
+// with --require-release it additionally rejects files not produced by a
+// release build (committed BENCH files must pass this).  `hunt` unleashes
+// the searching adversary — fault scripts swept across scheduler families —
+// and writes a replay artifact if any scenario fails; `replay` re-executes
+// such an artifact and reports whether the failure reproduces (see
+// docs/fault_model.md and docs/observability.md).
 //
 // Observability flags (see docs/observability.md):
 //   --telemetry=off|phases|full   native per-worker recording level
 //   --stats-json=PATH             write the "wfsort-stats-v1" document
-//                                 (sort/sim/bench; hunt writes search stats)
+//                                 (sort/sim; hunt writes search stats)
 //   --trace-out=PATH              write a Perfetto/chrome://tracing trace
 //   --monitor-out=PATH            live monitor: append "wfsort-monitor-v1"
 //                                 JSONL samples while the run is in flight
-//                                 (sort/sim/bench); render with `wfsort report`
+//                                 (sort/sim); render with `wfsort report`
 //   --monitor-interval-ms=N       sampling period of the live monitor
 //   --ring-capacity=N             flight-recorder events retained per worker
 #include <algorithm>
@@ -48,10 +41,8 @@
 #include <iterator>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "baselines/parallel_mergesort.h"
 #include "common/cli.h"
 #include "common/json.h"
 #include "core/pool.h"
@@ -104,8 +95,7 @@ tel::Level requested_level(const wfsort::CliFlags& flags) {
 }
 
 // Fill Options' monitor knobs from the flags.  The sink is truncated once up
-// front (the Monitor itself appends, so a bench's reps stack sessions into
-// the file this call just cleared).
+// front by truncate_monitor_file (the Monitor itself appends).
 void apply_monitor_flags(const wfsort::CliFlags& flags, wfsort::Options* opts) {
   opts->ring_capacity = static_cast<std::uint32_t>(flags.u64("ring-capacity"));
   const std::string path = flags.str("monitor-out");
@@ -170,25 +160,6 @@ wfsort::Phase1 parse_phase1(const std::string& s) {
   if (s == "partition") return wfsort::Phase1::kPartition;
   std::fprintf(stderr, "unknown --phase1 '%s' (tree|partition)\n", s.c_str());
   std::exit(2);
-}
-
-// Best-of-`reps` wall milliseconds of `body(data)` on fresh copies of
-// `input` — the in-process baseline timings the bench envelope derives its
-// gap rows from (same process, same input, same moment as the wfsort runs).
-template <typename Body>
-double time_best_ms(const std::vector<std::uint64_t>& input, std::uint64_t reps,
-                    Body&& body) {
-  double best = 0.0;
-  for (std::uint64_t rep = 0; rep < reps; ++rep) {
-    std::vector<std::uint64_t> data = input;
-    const auto t0 = std::chrono::steady_clock::now();
-    body(data);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (rep == 0 || ms < best) best = ms;
-  }
-  return best;
 }
 
 wfsort::exp::Dist parse_dist(const std::string& s) {
@@ -278,317 +249,8 @@ int run_sort(const wfsort::CliFlags& flags) {
   return ok ? 0 : 1;
 }
 
-// Bench: all three native configurations (deterministic tree, deterministic
-// partition, low-contention) at full telemetry, --reps runs each, plus
-// in-process std::sort and parallel-mergesort baselines on the same input —
-// one "wfsort-bench-v1" envelope of per-run stats documents, a "baselines"
-// object, a derived gap-vs-std::sort table, and (optionally) one combined
-// Perfetto trace with a process per variant.
-int run_bench(const wfsort::CliFlags& flags) {
-  const std::uint64_t n = flags.u64("n");
-  const std::uint64_t reps = std::max<std::uint64_t>(flags.u64("reps"), 1);
-  const bool pooled = flags.flag("pool");
-  const auto threads = static_cast<std::uint32_t>(flags.u64("threads"));
-  const std::vector<std::uint64_t> input = wfsort::exp::make_u64_keys(
-      n, parse_dist(flags.str("dist")), flags.u64("seed"));
-
-  wfsort::Json bench = tel::make_bench_doc();
-  wfsort::Json runs = bench.at("runs");
-  wfsort::Json trace = tel::chrome_trace_doc();
-  if (!truncate_monitor_file(flags.str("monitor-out"))) return 2;
-
-  struct BenchVariant {
-    const char* name;
-    wfsort::Variant variant;
-    wfsort::Phase1 phase1;
-  };
-  const BenchVariant variants[] = {
-      {"det", wfsort::Variant::kDeterministic, wfsort::Phase1::kTree},
-      {"det-partition", wfsort::Variant::kDeterministic,
-       wfsort::Phase1::kPartition},
-      {"lc", wfsort::Variant::kLowContention, wfsort::Phase1::kTree},
-  };
-  int pid = 0;
-  bool ok = true;
-  Json best_ms = Json::object();  // per-variant best wall_ms, for the gap rows
-  for (const auto& [name, variant, phase1] : variants) {
-    ++pid;
-    double best = 0.0;
-    for (std::uint64_t rep = 0; rep < reps; ++rep) {
-      std::vector<std::uint64_t> data = input;
-      wfsort::Options opts;
-      opts.threads = threads;
-      opts.variant = variant;
-      opts.phase1 = phase1;
-      opts.seed = flags.u64("seed") + rep;
-      opts.telemetry = tel::Level::kFull;
-      apply_monitor_flags(flags, &opts);  // one monitor session per rep
-      wfsort::SortStats stats;
-      if (pooled) {
-        wfsort::default_pool().sort(std::span<std::uint64_t>(data), opts,
-                                    &stats);
-      } else {
-        wfsort::sort(std::span<std::uint64_t>(data), opts, &stats);
-      }
-      for (std::size_t i = 1; i < data.size(); ++i) ok &= data[i - 1] <= data[i];
-
-      const wfsort::Json doc =
-          tel::native_stats_json(tel::native_run_info(opts, data.size()), stats);
-      const double wall = doc.at("totals").at("wall_ms").as_double();
-      if (rep == 0 || wall < best) best = wall;
-      std::fprintf(stderr, "bench %s rep %llu: wall %.3f ms  max contention %s=%llu\n",
-                   name, static_cast<unsigned long long>(rep + 1), wall,
-                   doc.at("contention").at("max_site").as_string().c_str(),
-                   static_cast<unsigned long long>(
-                       doc.at("contention").at("max_value").as_u64()));
-      runs.push_back(doc);
-      if (rep + 1 == reps && stats.telemetry != nullptr) {
-        tel::append_chrome_trace(&trace, *stats.telemetry, pid,
-                                 std::string("wfsort ") + name);
-      }
-    }
-    best_ms.set(name, best);
-  }
-  bench.set("runs", std::move(runs));
-  if (!ok) {
-    std::fprintf(stderr, "bench: output NOT SORTED\n");
-    return 1;
-  }
-
-  // In-process baselines on the identical input, then the derived gap table:
-  // gap_vs_stdsort.<variant> = best wfsort wall_ms / best std::sort wall_ms.
-  const double std_sort_ms = time_best_ms(
-      input, reps, [](std::vector<std::uint64_t>& v) {
-        std::sort(v.begin(), v.end());
-      });
-  const double merge_ms = time_best_ms(
-      input, reps, [threads](std::vector<std::uint64_t>& v) {
-        wfsort::baselines::parallel_mergesort(std::span<std::uint64_t>(v),
-                                              threads);
-      });
-  std::fprintf(stderr, "bench std::sort: wall %.3f ms\n", std_sort_ms);
-  std::fprintf(stderr, "bench parallel_mergesort(t=%u): wall %.3f ms\n",
-               threads, merge_ms);
-  Json baselines = Json::object();
-  baselines.set("std_sort_ms", std_sort_ms);
-  baselines.set("parallel_mergesort_ms", merge_ms);
-  baselines.set("parallel_mergesort_threads",
-                static_cast<std::uint64_t>(threads));
-  bench.set("baselines", std::move(baselines));
-  Json gaps = Json::object();
-  for (const auto& [name, value] : best_ms.object_items()) {
-    const double wall = value.as_double();
-    const double gap = std_sort_ms > 0.0 ? wall / std_sort_ms : 0.0;
-    std::fprintf(stderr, "bench gap_vs_stdsort %s: %.2fx\n", name.c_str(), gap);
-    gaps.set(name, gap);
-  }
-  Json derived = Json::object();
-  derived.set("gap_vs_stdsort", std::move(gaps));
-  bench.set("derived", std::move(derived));
-
-  // --pool: stamp the SortPool's lifetime counters into the envelope; under
-  // --back-to-back additionally run the small-N cold-vs-pooled sweep — the
-  // rows docs/native_engine.md's latency table is built from.  Sweep runs
-  // are telemetry-off (full telemetry would dominate small-N wall time).
-  if (pooled) {
-    Json pool = Json::object();
-    if (flags.flag("back-to-back")) {
-      Json sweep = Json::array();
-      const std::uint64_t btb_reps = std::max<std::uint64_t>(reps, 10);
-      for (const std::uint64_t bn :
-           {std::uint64_t{1} << 10, std::uint64_t{1} << 12,
-            std::uint64_t{1} << 14, std::uint64_t{1} << 16,
-            std::uint64_t{1} << 20}) {
-        const std::vector<std::uint64_t> small = wfsort::exp::make_u64_keys(
-            bn, parse_dist(flags.str("dist")), flags.u64("seed"));
-        wfsort::Options sopts;
-        sopts.threads = threads;
-        sopts.seed = flags.u64("seed");
-        const double cold_ms = time_best_ms(
-            small, btb_reps, [&sopts](std::vector<std::uint64_t>& v) {
-              wfsort::sort(std::span<std::uint64_t>(v), sopts);
-            });
-        const double pooled_ms = time_best_ms(
-            small, btb_reps, [&sopts](std::vector<std::uint64_t>& v) {
-              wfsort::default_pool().sort(std::span<std::uint64_t>(v), sopts);
-            });
-        const double speedup = pooled_ms > 0.0 ? cold_ms / pooled_ms : 0.0;
-        std::fprintf(stderr,
-                     "bench back-to-back n=%llu: cold %.3f ms  pooled %.3f ms "
-                     "(%.2fx)\n",
-                     static_cast<unsigned long long>(bn), cold_ms, pooled_ms,
-                     speedup);
-        Json row = Json::object();
-        row.set("n", bn);
-        row.set("threads", static_cast<std::uint64_t>(threads));
-        row.set("reps", btb_reps);
-        row.set("cold_ms", cold_ms);
-        row.set("pooled_ms", pooled_ms);
-        row.set("speedup", speedup);
-        sweep.push_back(std::move(row));
-      }
-      pool.set("small_n", std::move(sweep));
-    }
-    const wfsort::PoolStats ps = wfsort::default_pool().stats();
-    pool.set("threads", static_cast<std::uint64_t>(ps.threads));
-    pool.set("runs", ps.runs);
-    pool.set("caller_only_runs", ps.caller_only_runs);
-    pool.set("bypass_runs", ps.bypass_runs);
-    pool.set("arena_reuse_bytes", ps.arena_reuse_bytes);
-    pool.set("arena_grow_events", ps.arena_grow_events);
-    pool.set("arena_held_bytes", ps.arena_held_bytes);
-    pool.set("wake_ns", ps.wake_ns);
-    bench.set("pool", std::move(pool));
-  }
-
-  std::string verr;
-  if (!tel::validate_bench_json(bench, &verr)) {
-    std::fprintf(stderr, "internal error: emitted envelope invalid: %s\n",
-                 verr.c_str());
-    return 2;
-  }
-  if (const int rc = check_monitor_file(flags.str("monitor-out")); rc != 0) {
-    return rc;
-  }
-
-  const std::string stats_path = flags.str("stats-json");
-  if (!stats_path.empty() && !write_json(bench, stats_path)) return 2;
-  const std::string trace_path = flags.str("trace-out");
-  if (!trace_path.empty()) {
-    std::string error;
-    if (!tel::write_text_file(trace_path, trace.dump() + "\n", &error)) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      return 2;
-    }
-    std::fprintf(stderr, "wrote %s (load in Perfetto / chrome://tracing)\n",
-                 trace_path.c_str());
-  }
-  return 0;
-}
-
-// Scaling: sweep thread counts for both native variants, reporting each
-// point's best-of---reps wall time, speedup versus the variant's own t=1
-// point, and max-contention attribution.  The sweep is --threads-list
-// ("1,2,4"), defaulting to powers of two up to the hardware concurrency
-// (which is always appended if it is not itself a power of two).
-int run_scaling(const wfsort::CliFlags& flags) {
-  const std::uint64_t n = flags.u64("n");
-  const std::uint64_t reps = std::max<std::uint64_t>(flags.u64("reps"), 1);
-  const std::vector<std::uint64_t> input = wfsort::exp::make_u64_keys(
-      n, parse_dist(flags.str("dist")), flags.u64("seed"));
-
-  std::vector<std::uint32_t> threads;
-  const std::string list = flags.str("threads-list");
-  if (!list.empty()) {
-    std::uint32_t cur = 0;
-    bool any = false;
-    for (const char ch : list + ",") {
-      if (ch >= '0' && ch <= '9') {
-        cur = cur * 10 + static_cast<std::uint32_t>(ch - '0');
-        any = true;
-      } else if (ch == ',') {
-        if (any && cur > 0) threads.push_back(cur);
-        cur = 0;
-        any = false;
-      } else {
-        std::fprintf(stderr, "bad --threads-list '%s' (want e.g. 1,2,4)\n",
-                     list.c_str());
-        return 2;
-      }
-    }
-  } else {
-    const std::uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
-    for (std::uint32_t t = 1; t <= hw; t *= 2) threads.push_back(t);
-    if (threads.back() != hw) threads.push_back(hw);
-  }
-  if (threads.empty()) {
-    std::fprintf(stderr, "empty thread sweep\n");
-    return 2;
-  }
-
-  wfsort::Json doc = tel::make_scaling_doc();
-  Json config = Json::object();
-  config.set("n", n);
-  config.set("seed", flags.u64("seed"));
-  config.set("reps", reps);
-  config.set("dist", flags.str("dist"));
-  config.set("hw_concurrency",
-             static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
-  doc.set("config", std::move(config));
-  Json tlist = Json::array();
-  for (std::uint32_t t : threads) tlist.push_back(static_cast<std::uint64_t>(t));
-  doc.set("threads", std::move(tlist));
-
-  const std::pair<const char*, wfsort::Variant> variants[] = {
-      {"det", wfsort::Variant::kDeterministic},
-      {"lc", wfsort::Variant::kLowContention},
-  };
-  Json vdocs = Json::object();
-  bool ok = true;
-  for (const auto& [name, variant] : variants) {
-    Json points = Json::array();
-    double base_ms = 0.0;
-    for (std::uint32_t t : threads) {
-      double best_ms = 0.0;
-      Json best_contention;
-      for (std::uint64_t rep = 0; rep < reps; ++rep) {
-        std::vector<std::uint64_t> data = input;
-        wfsort::Options opts;
-        opts.threads = t;
-        opts.variant = variant;
-        opts.seed = flags.u64("seed") + rep;
-        opts.telemetry = tel::Level::kFull;
-        wfsort::SortStats stats;
-        wfsort::sort(std::span<std::uint64_t>(data), opts, &stats);
-        for (std::size_t i = 1; i < data.size(); ++i) ok &= data[i - 1] <= data[i];
-
-        const wfsort::Json run =
-            tel::native_stats_json(tel::native_run_info(opts, data.size()), stats);
-        const double ms = run.at("totals").at("wall_ms").as_double();
-        if (rep == 0 || ms < best_ms) {
-          best_ms = ms;
-          best_contention = run.at("contention");
-        }
-      }
-      if (t == threads.front()) base_ms = best_ms;
-      const double speedup = best_ms > 0.0 ? base_ms / best_ms : 0.0;
-      std::fprintf(stderr,
-                   "scaling %s t=%u: wall %.3f ms  speedup %.2fx  "
-                   "max contention %s=%llu\n",
-                   name, t, best_ms, speedup,
-                   best_contention.at("max_site").as_string().c_str(),
-                   static_cast<unsigned long long>(
-                       best_contention.at("max_value").as_u64()));
-      Json pt = Json::object();
-      pt.set("threads", static_cast<std::uint64_t>(t));
-      pt.set("wall_ms", best_ms);
-      pt.set("speedup", speedup);
-      pt.set("contention", std::move(best_contention));
-      points.push_back(std::move(pt));
-    }
-    Json v = Json::object();
-    v.set("points", std::move(points));
-    vdocs.set(name, std::move(v));
-  }
-  doc.set("variants", std::move(vdocs));
-  if (!ok) {
-    std::fprintf(stderr, "scaling: output NOT SORTED\n");
-    return 1;
-  }
-
-  std::string error;
-  if (!tel::validate_scaling_json(doc, &error)) {
-    std::fprintf(stderr, "internal error: emitted document invalid: %s\n",
-                 error.c_str());
-    return 2;
-  }
-  const std::string stats_path = flags.str("stats-json");
-  if (!stats_path.empty() && !write_json(doc, stats_path)) return 2;
-  return 0;
-}
-
 // Validate: structural check of an emitted JSON file, dispatched on its
-// "schema" key.  --require-release turns on the bench-provenance check.
+// "schema" key.  --require-release turns on the release-build check.
 int run_validate(const wfsort::CliFlags& flags) {
   if (flags.positional().size() < 2) {
     std::fprintf(stderr, "usage: wfsort validate <file.json> [--require-release]\n");
@@ -604,8 +266,8 @@ int run_validate(const wfsort::CliFlags& flags) {
                          std::istreambuf_iterator<char>());
   const bool require_release = flags.flag("require-release");
 
-  // JSONL dispatch: a monitor stream (or a bench-history file) is a line
-  // sequence, not one document.  Peek at the first line's schema.
+  // JSONL dispatch: a monitor stream is a line sequence, not one document.
+  // Peek at the first line's schema.
   {
     const std::size_t eol = text.find('\n');
     const std::string first = text.substr(0, eol);
@@ -622,30 +284,6 @@ int run_validate(const wfsort::CliFlags& flags) {
             return 1;
           }
           std::fprintf(stderr, "%s: ok (%s)\n", path.c_str(), tel::kMonitorSchema);
-          return 0;
-        }
-        if (ls->as_string() == tel::kBenchSchema) {
-          // Bench history: one envelope per line, each validated in full.
-          std::size_t lineno = 0, pos = 0;
-          while (pos < text.size()) {
-            const std::size_t end = text.find('\n', pos);
-            const std::string line =
-                text.substr(pos, end == std::string::npos ? end : end - pos);
-            pos = end == std::string::npos ? text.size() : end + 1;
-            ++lineno;
-            if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-            std::string herr;
-            const wfsort::Json env = wfsort::Json::parse(line, &herr);
-            if (!herr.empty() ||
-                !tel::validate_bench_json(env, &herr, require_release)) {
-              std::fprintf(stderr, "%s: INVALID at line %zu: %s\n", path.c_str(),
-                           lineno, herr.c_str());
-              return 1;
-            }
-          }
-          std::fprintf(stderr, "%s: ok (%s history, %s)\n", path.c_str(),
-                       tel::kBenchSchema,
-                       require_release ? "release-gated" : "ungated");
           return 0;
         }
       }
@@ -665,11 +303,7 @@ int run_validate(const wfsort::CliFlags& flags) {
           : "";
   bool valid = false;
   const wfsort::Json* bt = doc.find("build_type");
-  if (name == tel::kBenchSchema) {
-    valid = tel::validate_bench_json(doc, &error, require_release);
-  } else if (name == tel::kScalingSchema) {
-    valid = tel::validate_scaling_json(doc, &error, require_release);
-  } else if (name == tel::kStatsSchema) {
+  if (name == tel::kStatsSchema) {
     valid = tel::validate_stats_json(doc, &error, require_release);
   } else if (doc.find("context") != nullptr && doc.find("benchmarks") != nullptr) {
     // A google-benchmark report.  Its context carries a fixed
@@ -680,8 +314,8 @@ int run_validate(const wfsort::CliFlags& flags) {
     const wfsort::Json& ctx = doc.at("context");
     bt = ctx.find("wfsort_build_type");
     if (bt == nullptr || bt->type() != wfsort::Json::Type::kString) {
-      error = "missing context.wfsort_build_type (is this a wfsort bench "
-              "binary's report?)";
+      error = "missing context.wfsort_build_type (is this the report of a "
+              "wfsort bench binary such as bench_sim_perf?)";
     } else if (require_release && bt->as_string() != "release") {
       error = "context.wfsort_build_type is \"" + bt->as_string() +
               "\" but a release build is required";
@@ -1151,9 +785,9 @@ int run_replay(const wfsort::CliFlags& flags) {
 int main(int argc, char** argv) {
   wfsort::CliFlags flags(
       "wfsort — wait-free sorting (Shavit/Upfal/Zemach PODC'97)\n"
-      "usage: wfsort <sort|sim|bench|scaling|validate|hunt|replay|report> [flags] [files...]");
+      "usage: wfsort <sort|sim|validate|hunt|replay|report> [flags] [files...]");
   flags.add_u64("n", 100000, "number of keys to generate when no input file is given");
-  flags.add_u64("threads", 4, "native worker threads (sort/bench mode)");
+  flags.add_u64("threads", 4, "native worker threads (sort mode)");
   flags.add_u64("procs", 256, "virtual processors (sim mode)");
   flags.add_u64("seed", 1, "workload / randomized-variant seed");
   flags.add_u64("trace", 0, "sim: keep and print the last K trace events");
@@ -1168,29 +802,22 @@ int main(int argc, char** argv) {
   flags.add_string("memory", "crcw", "sim: crcw | stall");
   flags.add_bool("print", false, "sort: print the sorted keys to stdout");
   flags.add_bool("pool", false,
-                 "sort/bench: route runs through the process-wide SortPool "
+                 "sort: route the run through the process-wide SortPool "
                  "(persistent workers, recycled arenas)");
-  flags.add_bool("back-to-back", false,
-                 "bench --pool: add the small-N cold-vs-pooled latency sweep "
-                 "(2^10..2^20) to the envelope");
   flags.add_string("substrate", "sim", "hunt: sim | native");
   flags.add_string("prune", "completed",
                    "hunt: phase-3 pruning (none|placed|completed; native: completed)");
   flags.add_u64("budget", 400, "hunt: max scenario executions");
   flags.add_string("out", "wfsort-repro.json", "hunt: replay artifact path");
   flags.add_bool("shrink", true, "hunt: delta-debug the failing script before writing");
-  flags.add_u64("reps", 1, "bench/scaling: repetitions per variant (best kept)");
-  flags.add_string("threads-list", "",
-                   "scaling: comma-separated thread counts (default: powers of "
-                   "two up to the hardware concurrency)");
   flags.add_bool("require-release", false,
-                 "validate: reject envelopes not from a release build");
+                 "validate: reject files not from a release build");
   flags.add_string("telemetry", "off", "native recording level: off|phases|full");
   flags.add_string("stats-json", "", "write the run's stats document to this path");
   flags.add_string("trace-out", "", "write a Perfetto-loadable trace to this path");
   flags.add_string("monitor-out", "",
                    "append live \"wfsort-monitor-v1\" JSONL samples to this "
-                   "path while the run is in flight (sort/sim/bench)");
+                   "path while the run is in flight (sort/sim)");
   flags.add_u64("monitor-interval-ms", 25, "live-monitor sampling period");
   flags.add_u64("ring-capacity", 256,
                 "flight-recorder events retained per worker ring");
@@ -1207,14 +834,12 @@ int main(int argc, char** argv) {
   const std::string& mode = flags.positional().front();
   if (mode == "sort") return run_sort(flags);
   if (mode == "sim") return run_sim(flags);
-  if (mode == "bench") return run_bench(flags);
-  if (mode == "scaling") return run_scaling(flags);
   if (mode == "validate") return run_validate(flags);
   if (mode == "hunt") return run_hunt(flags);
   if (mode == "replay") return run_replay(flags);
   if (mode == "report") return run_report(flags);
   std::fprintf(stderr,
-               "unknown mode '%s' (sort|sim|bench|scaling|validate|hunt|replay|report)\n",
+               "unknown mode '%s' (sort|sim|validate|hunt|replay|report)\n",
                mode.c_str());
   return 2;
 }
