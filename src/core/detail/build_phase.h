@@ -54,18 +54,23 @@ struct BuildResult {
 // Per-worker phase-1 accumulator: the engine writes it into the worker's
 // telemetry scratch once per phase (Engine::flush_build), where the run's
 // Report, and SortStats with it, read the counts.
+// An element whose descent starts at depth `start_depth` (1 = root) sits at
+// start_depth + iterations; links are write-once, so the maximum over the
+// run's tallies is the tree's depth without a walk.
 struct BuildTally {
   std::uint64_t iterations = 0;
   std::uint64_t cas_failures = 0;
   std::uint64_t max_iterations = 0;
   std::uint64_t installs = 0;
   std::uint64_t backoff_spins = 0;  // pause iterations spent backing off
+  std::uint64_t max_depth = 0;      // deepest finished element
 
-  void add(const BuildResult& r) {
+  void add(const BuildResult& r, std::uint64_t start_depth) {
     iterations += r.iterations;
     cas_failures += r.cas_failures;
     installs += r.installs;
     if (r.iterations > max_iterations) max_iterations = r.iterations;
+    if (start_depth + r.iterations > max_depth) max_depth = start_depth + r.iterations;
   }
 };
 
@@ -93,19 +98,15 @@ BuildResult build_from(TreeState<Key, Compare>& st, std::int64_t i,
     ++r.iterations;
     WFSORT_DCHECK(r.iterations <= static_cast<std::uint64_t>(st.n()));  // Lemma 2.4
     const Side side = st.descend_side(i, parent);
-    auto& slot = st.child_slot(parent, side);
     // Probe first (paper line 15 re-read, hoisted): only an EMPTY slot is
     // worth an RMW.
-    std::int64_t c = slot.load(std::memory_order_acquire);
+    std::int64_t c = st.child_of(parent, side);
     if (c == kNoIdx) {
-      std::int64_t expected = kNoIdx;
-      if (slot.compare_exchange_strong(expected, i, std::memory_order_acq_rel,
-                                       std::memory_order_acquire)) {
+      if (st.try_install(parent, side, i, c)) {
         r.installs = 1;
         return r;
       }
-      c = expected;  // some processor won the slot concurrently
-      ++r.cas_failures;
+      ++r.cas_failures;  // some processor won the slot concurrently: c is it
     }
     WFSORT_DCHECK(c != kNoIdx);
     if (c == i) return r;
@@ -246,27 +247,20 @@ bool build_batch(TreeState<Key, Compare>& st, Stripe stripe, BuildTally& tally,
       } else {
         side = st.descend_side(ln.elem, ln.parent);
       }
-      auto& slot = st.child_slot(ln.parent, side);
-      std::int64_t c = slot.load(std::memory_order_acquire);
+      std::int64_t c = st.child_of(ln.parent, side);
       bool installed = false;
       if (c == kNoIdx) {
         if (smaller_rival(l, ln, side)) {
           ++l;  // stall: re-probe next round, after the rival's CAS
           continue;
         }
-        std::int64_t expected = kNoIdx;
-        installed = slot.compare_exchange_strong(expected, ln.elem,
-                                                 std::memory_order_acq_rel,
-                                                 std::memory_order_acquire);
-        if (!installed) {
-          c = expected;
-          ++ln.fails;
-        }
+        installed = st.try_install(ln.parent, side, ln.elem, c);
+        if (!installed) ++ln.fails;
       }
       ++ln.iterations;
       WFSORT_DCHECK(ln.iterations <= static_cast<std::uint64_t>(st.n()));
       if (installed || c == ln.elem) {
-        tally.add({ln.iterations, ln.fails, installed ? 1u : 0u});
+        tally.add({ln.iterations, ln.fails, installed ? 1u : 0u}, /*start_depth=*/1);
         if constexpr (kTel) {
           if (tel_detail) record_descent(tel, ln.elem, ln.fails);
         }
@@ -332,11 +326,12 @@ inline std::uint32_t backoff_spins(std::uint32_t attempt, std::uint32_t limit) {
 // unrelated interior nodes, so no sequential-equivalence shape claim exists
 // to preserve (the LC tree is randomized by construction).  A lane that
 // loses an install CAS backs off exponentially (bounded by `backoff_limit`)
-// before re-probing, keeping repeat losers off the contended line.
+// before re-probing, keeping repeat losers off the contended line.  Every
+// start parent sits at depth `start_depth` (the fat-tree leaves).
 template <typename Key, typename Compare, typename Check,
           typename Tel = std::nullptr_t>
 bool build_lanes(TreeState<Key, Compare>& st, const std::int64_t* elems,
-                 const std::int64_t* parents, int count,
+                 const std::int64_t* parents, int count, std::uint64_t start_depth,
                  std::uint32_t backoff_limit, BuildTally& tally,
                  Check&& keep_going, Tel tel = nullptr) {
   constexpr bool kTel = telemetry::kTelEnabled<Tel>;
@@ -376,16 +371,11 @@ bool build_lanes(TreeState<Key, Compare>& st, const std::int64_t* elems,
       } else {
         side = st.descend_side(ln.elem, ln.parent);
       }
-      auto& slot = st.child_slot(ln.parent, side);
-      std::int64_t c = slot.load(std::memory_order_acquire);
+      std::int64_t c = st.child_of(ln.parent, side);
       bool installed = false;
       if (c == kNoIdx) {
-        std::int64_t expected = kNoIdx;
-        installed = slot.compare_exchange_strong(expected, ln.elem,
-                                                 std::memory_order_acq_rel,
-                                                 std::memory_order_acquire);
+        installed = st.try_install(ln.parent, side, ln.elem, c);
         if (!installed) {
-          c = expected;
           const std::uint32_t spins = backoff_spins(++ln.lost, backoff_limit);
           for (std::uint32_t s = 0; s < spins; ++s) cpu_pause();
           tally.backoff_spins += spins;
@@ -394,7 +384,7 @@ bool build_lanes(TreeState<Key, Compare>& st, const std::int64_t* elems,
       ++ln.iterations;
       WFSORT_DCHECK(ln.iterations <= static_cast<std::uint64_t>(st.n()));
       if (installed || c == ln.elem) {
-        tally.add({ln.iterations, ln.lost, installed ? 1u : 0u});
+        tally.add({ln.iterations, ln.lost, installed ? 1u : 0u}, start_depth);
         if constexpr (kTel) {
           if (tel_detail) record_descent(tel, ln.elem, ln.lost);
         }

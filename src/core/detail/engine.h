@@ -157,6 +157,7 @@ class Engine {
         part_ = arena_->create<PartitionShared<Key>>(
             keys, copy_back_, copy_back_ && kBareKeyOrder<Key, Compare>, *arena_);
       } else {
+        WFSORT_CHECK(tree_indexable(data_.size()));  // before any allocation
         st_ = arena_->create<TreeState<Key, Compare>>(keys, cmp, *arena_);
         if (effective_variant_ == Variant::kLowContention) {
           init_lc();
@@ -282,12 +283,12 @@ class Engine {
     s.n = data_.size();
     s.workers = nominal_threads_;
     s.completed_workers = completed_.load(std::memory_order_relaxed);
-    s.tree_depth = measured_depth();  // 0 for det-partition: no tree
     s.telemetry = report_;
     if (report_ != nullptr) {
       using telemetry::Counter;
       s.crashed_workers = report_->crashed_workers();
       s.max_build_iters = report_->max_build_iters();
+      s.tree_depth = static_cast<std::uint32_t>(report_->tree_depth());
       s.total_build_iters = report_->counter_total(Counter::kBuildIters);
       s.cas_failures = report_->counter_total(Counter::kCasFailures);
       s.cas_successes = report_->counter_total(Counter::kCasInstalls);
@@ -428,6 +429,7 @@ class Engine {
       tel->count(telemetry::Counter::kCasFailures, tally.cas_failures);
       tel->count(telemetry::Counter::kBuildIters, tally.iterations);
       tel->rep.max_build_iters = std::max(tel->rep.max_build_iters, tally.max_iterations);
+      tel->rep.tree_depth = std::max(tel->rep.tree_depth, tally.max_depth);
     }
   }
 
@@ -600,6 +602,7 @@ class Engine {
                 return build_batch(gst, group_jobs.stripe(j), tally, chk, tel);
               }) &&
         tree_sum(gst, tid, chk) && find_place_emit(gst, tid, seq_cutoff_, chk, tel);
+    tally.max_depth = 0;  // a group tree's depth is not the pivot tree's
     if (!presorted) {
       flush_build(tally, tel);
       return false;
@@ -663,8 +666,8 @@ class Engine {
       if (!lc.fat.is_leaf(f)) {
         const std::int64_t se = sorted_idx[lc.fat.rank_of(lc.fat.left(f))];
         const std::int64_t be = sorted_idx[lc.fat.rank_of(lc.fat.right(f))];
-        st.child_slot(pe, kSmall).store(se, std::memory_order_release);
-        st.child_slot(pe, kBig).store(be, std::memory_order_release);
+        st.set_child(pe, kSmall, se);
+        st.set_child(pe, kBig, be);
       }
     }
 
@@ -715,8 +718,8 @@ class Engine {
         std::int64_t parents[kBuildLanes];
         fat_handoffs(elems, cnt, sorted_idx, rng_insert, fat_misses, fat_reads,
                      parents);
-        build_lanes(st, elems, parents, cnt, opts_.backoff_limit, tally, no_abort,
-                    tel);
+        build_lanes(st, elems, parents, cnt, /*start_depth=*/lc.levels,
+                    opts_.backoff_limit, tally, no_abort, tel);
         cnt = 0;
       };
       Stripe stripe(j, lc.insert_wat.jobs(), data_.size());
@@ -815,18 +818,6 @@ class Engine {
     }
   }
 
-  // Pivot-tree depth is a diagnostic, not a by-product of the sort: it is
-  // measured lazily, the first time stats() wants it, so plain (statsless)
-  // runs skip the full-tree walk entirely.  Same calling contract as
-  // stats(): workers joined, at least one completed.  Runs without a tree
-  // (det-partition, N <= 1) report 0.
-  std::uint32_t measured_depth() const {
-    if (measured_depth_ == 0 && st_ != nullptr && result_ready()) {
-      measured_depth_ = st_->measure_depth();
-    }
-    return measured_depth_;
-  }
-
   std::span<Key> data_;
   Compare cmp_;
   Options opts_;
@@ -856,7 +847,6 @@ class Engine {
   std::shared_ptr<const telemetry::Report> report_;
 
   std::atomic<std::uint32_t> completed_{0};
-  mutable std::uint32_t measured_depth_ = 0;  // lazy; see measured_depth()
 };
 
 }  // namespace wfsort::detail

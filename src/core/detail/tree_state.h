@@ -2,15 +2,16 @@
 //
 // Mirrors Figure 3 of the paper, but in *packed record* form rather than the
 // paper's (and our seed's) parallel arrays: each element owns one
-// cache-line-aligned PackedNode holding both child slots, the subtree size,
-// the final place (1-based rank; 0 = not yet known), the phase-3 completion
-// flag and a private copy of the key.  A descent step, a summation visit or
-// a placement visit therefore costs ONE cache miss where the
-// structure-of-arrays layout cost up to four (child array, size array, place
-// array, key array), and place emission reads the key from the line the
-// visit already loaded.  This is a deliberate, documented deviation from the
-// paper's in-array threading (docs/native_engine.md); the algorithm and all
-// of its invariants are unchanged.
+// 32-byte PackedNode (half a cache line, for keys up to 8 bytes) holding
+// both 32-bit child links, the subtree size, the final place (1-based rank;
+// 0 = not yet known), the phase-3 completion flag and a private key copy.
+// A descent step, a summation visit or a placement visit therefore costs
+// ONE cache miss where the structure-of-arrays layout cost up to four, and
+// place emission reads the key from the line the visit already loaded.
+// This is a deliberate, documented deviation from the paper's in-array
+// threading (docs/native_engine.md); the algorithm and all of its
+// invariants are unchanged.  Only this header names the link type: the
+// phases go through child_of, try_install and set_child.
 //
 // Keys are copied into the records at construction and never modified while
 // the sort runs, which also makes the caller's buffer write-only for the
@@ -20,12 +21,12 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <limits>
 #include <new>
 #include <span>
 #include <type_traits>
-#include <vector>
 
 #include "common/arena.h"
 #include "common/check.h"
@@ -34,18 +35,25 @@ namespace wfsort::detail {
 
 inline constexpr std::int64_t kNoIdx = -1;
 
+using Link = std::int32_t;  // a record's links, size and place
+
+// Largest input the pivot tree can index; the Engine checks it before it
+// allocates anything.
+inline constexpr std::uint64_t kMaxTreeN = std::numeric_limits<Link>::max();
+constexpr bool tree_indexable(std::uint64_t n) { return n <= kMaxTreeN; }
+
 enum Side : int { kSmall = 0, kBig = 1 };
 
-// One pivot-tree node.  64-byte aligned so any key type up to 23 bytes keeps
-// the whole record inside a single cache line (larger keys pad to two lines,
-// still one line better than four scattered arrays).
+// One pivot-tree node: 32-byte aligned while its fields fit there (keys of
+// up to 15 bytes), so two records share a cache line and none straddles
+// one; a wider key pads the record to 64-byte lines.
 template <typename Key>
-struct alignas(64) PackedNode {
-  std::atomic<std::int64_t> child[2];       // kNoIdx = EMPTY; write-once
-  std::atomic<std::int64_t> size;           // 0 = unknown
-  std::atomic<std::int64_t> place;          // 0 = unknown, else 1-based rank
-  Key key;                                  // immutable copy, set before workers start
-  std::atomic<std::uint8_t> place_done;     // phase-3 completion flag
+struct alignas(sizeof(Key) < 16 ? 32 : 64) PackedNode {
+  std::atomic<Link> child[2];            // kNoIdx = EMPTY; write-once
+  std::atomic<Link> size;                // 0 = unknown
+  std::atomic<Link> place;               // 0 = unknown, else 1-based rank
+  Key key;                               // immutable copy, set before workers start
+  std::atomic<std::uint8_t> place_done;  // phase-3 completion flag
 };
 
 template <typename Key, typename Compare>
@@ -79,7 +87,7 @@ struct TreeState {
     advise_huge_pages(nodes, k.size() * sizeof(PackedNode<Key>));
     for (std::size_t i = 0; i < k.size(); ++i) {
       ::new (static_cast<void*>(nodes + i)) PackedNode<Key>{
-          {kNoIdx, kNoIdx}, std::int64_t{0}, std::int64_t{0}, k[i], std::uint8_t{0}};
+          {kNoIdx, kNoIdx}, 0, 0, k[i], std::uint8_t{0}};
     }
     std::atomic_thread_fence(std::memory_order_seq_cst);
   }
@@ -118,7 +126,8 @@ struct TreeState {
   // the fast cache levels that clustering un-hides the line latency the
   // round-robin interleave exists to overlap (measured on the bench host:
   // ~3% win at 1 MiB of records, 15–20% loss at 64 MiB), so the batch is
-  // only used while the array fits comfortably in L2.
+  // only used while the array fits comfortably in L2: up to 2^15 elements
+  // of 32-byte records.
   bool simd_batch_descend() const {
     return static_cast<std::size_t>(n()) * sizeof(PackedNode<Key>) <=
            (std::size_t{1} << 20);
@@ -129,11 +138,23 @@ struct TreeState {
     __builtin_prefetch(&nodes[static_cast<std::size_t>(node)], 0, 1);
   }
 
-  std::atomic<std::int64_t>& child_slot(std::int64_t node, Side s) {
-    return nodes[static_cast<std::size_t>(node)].child[s];
-  }
   std::int64_t child_of(std::int64_t node, Side s) const {
     return nodes[static_cast<std::size_t>(node)].child[s].load(std::memory_order_acquire);
+  }
+  // Figure 4's install: CAS `elem` into `node`'s EMPTY `s` slot.  On a lost
+  // race `seen` receives the winner, so the caller descends into it.
+  bool try_install(std::int64_t node, Side s, std::int64_t elem, std::int64_t& seen) {
+    Link expected = kNoIdx;
+    const bool won = nodes[static_cast<std::size_t>(node)].child[s].compare_exchange_strong(
+        expected, static_cast<Link>(elem), std::memory_order_acq_rel, std::memory_order_acquire);
+    seen = expected;  // still kNoIdx when this CAS won
+    return won;
+  }
+  // Idempotent link store (LC stage D stitches the fat-tree top with it:
+  // every worker writes the same child).
+  void set_child(std::int64_t node, Side s, std::int64_t child) {
+    nodes[static_cast<std::size_t>(node)].child[s].store(static_cast<Link>(child),
+                                                         std::memory_order_release);
   }
   std::int64_t size_of(std::int64_t node) const {
     return node == kNoIdx
@@ -141,7 +162,8 @@ struct TreeState {
                : nodes[static_cast<std::size_t>(node)].size.load(std::memory_order_acquire);
   }
   void set_size(std::int64_t node, std::int64_t s) {
-    nodes[static_cast<std::size_t>(node)].size.store(s, std::memory_order_release);
+    nodes[static_cast<std::size_t>(node)].size.store(static_cast<Link>(s),
+                                                     std::memory_order_release);
   }
   std::int64_t place_of(std::int64_t node) const {
     return nodes[static_cast<std::size_t>(node)].place.load(std::memory_order_acquire);
@@ -172,7 +194,7 @@ struct TreeState {
   void emit(std::int64_t node, std::int64_t pl) {
     PackedNode<Key>& nd = nodes[static_cast<std::size_t>(node)];
     out[static_cast<std::size_t>(pl - 1)].store(nd.key, std::memory_order_release);
-    nd.place.store(pl, std::memory_order_release);
+    nd.place.store(static_cast<Link>(pl), std::memory_order_release);
   }
 
   // Post-run validation/diagnostics (single-threaded use).
@@ -181,21 +203,6 @@ struct TreeState {
       if (place_of(i) == 0) return false;
     }
     return true;
-  }
-
-  std::uint32_t measure_depth() const {
-    if (keys.empty()) return 0;
-    std::uint32_t max_depth = 0;
-    std::vector<std::pair<std::int64_t, std::uint32_t>> stack{{root_idx(), 1u}};
-    while (!stack.empty()) {
-      auto [node, d] = stack.back();
-      stack.pop_back();
-      if (node == kNoIdx) continue;
-      max_depth = std::max(max_depth, d);
-      stack.emplace_back(child_of(node, kSmall), d + 1);
-      stack.emplace_back(child_of(node, kBig), d + 1);
-    }
-    return max_depth;
   }
 };
 

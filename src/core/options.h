@@ -129,8 +129,8 @@ struct Options {
 };
 
 // Per-run diagnostics, filled after the workers join.  Apart from n,
-// workers, completed_workers and tree_depth, every field is read off the
-// run's telemetry Report (asking for SortStats makes a run record at least
+// workers and completed_workers, every field is read off the run's
+// telemetry Report (asking for SortStats makes a run record at least
 // Level::kPhases), so a field is zero when no Report exists, i.e. N <= 1.
 // Phase times are in the Report: telemetry->phase_max_ms(PhaseId).
 struct SortStats {
@@ -143,8 +143,9 @@ struct SortStats {
   std::uint64_t max_build_iters = 0;
   std::uint64_t total_build_iters = 0;
 
-  // Depth of the Quicksort pivot tree (O(log N) w.h.p. on random input).
-  // 0 for Phase1::kPartition runs, which build no tree, and for N <= 1.
+  // Depth of the Quicksort pivot tree (O(log N) w.h.p. on random input;
+  // root = 1), recorded by phase 1 as it goes (BuildTally::max_depth), not
+  // walked.  0 for Phase1::kPartition runs, which build no tree, and N <= 1.
   std::uint32_t tree_depth = 0;
 
   // Install CASes that returned false during tree building, i.e. lost to

@@ -155,6 +155,7 @@ struct WorkerReport {
   std::vector<Span> spans;
   std::array<std::uint64_t, kCounterCount> counters{};
   std::uint64_t max_build_iters = 0;  // longest single insertion (Lemma 2.4)
+  std::uint64_t tree_depth = 0;       // deepest pivot-tree element it finished
   LogHistogram cas_retries;
   LogHistogram wat_probes;
   // The worker's frozen flight-recorder window (its last ring_total events,
@@ -175,6 +176,7 @@ struct Report {
 
   std::uint64_t counter_total(Counter c) const;
   std::uint64_t max_build_iters() const;
+  std::uint64_t tree_depth() const;  // 0 for a run without a pivot tree
   std::uint32_t crashed_workers() const;
   LogHistogram merged_cas_retries() const;
   LogHistogram merged_wat_probes() const;

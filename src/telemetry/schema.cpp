@@ -176,7 +176,7 @@ Json native_stats_json(const NativeRunInfo& info, const SortStats& stats) {
   totals.set("workers", static_cast<std::uint64_t>(stats.workers));
   totals.set("crashed_workers", static_cast<std::uint64_t>(r.crashed_workers()));
   totals.set("completed_workers", static_cast<std::uint64_t>(stats.completed_workers));
-  totals.set("tree_depth", static_cast<std::uint64_t>(stats.tree_depth));
+  totals.set("tree_depth", r.tree_depth());
   totals.set("max_build_iters", r.max_build_iters());
   totals.set("total_build_iters", r.counter_total(Counter::kBuildIters));
   totals.set("cas_successes", r.counter_total(Counter::kCasInstalls));

@@ -109,6 +109,12 @@ std::uint64_t Report::max_build_iters() const {
   return m;
 }
 
+std::uint64_t Report::tree_depth() const {
+  std::uint64_t m = 0;
+  for (const WorkerReport& w : workers) m = std::max(m, w.tree_depth);
+  return m;
+}
+
 std::uint32_t Report::crashed_workers() const {
   return static_cast<std::uint32_t>(std::count_if(
       workers.begin(), workers.end(), [](const WorkerReport& w) { return w.crashed; }));
@@ -185,6 +191,7 @@ void Recorder::reuse(Level level) {
     s.rep.spans.clear();         // keeps capacity
     s.rep.counters.fill(0);
     s.rep.max_build_iters = 0;
+    s.rep.tree_depth = 0;
     s.rep.cas_retries = {};
     s.rep.wat_probes = {};
     s.rep.ring.clear();          // keeps capacity

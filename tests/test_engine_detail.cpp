@@ -64,6 +64,35 @@ BuiltTree build_sequential(std::vector<std::uint64_t> keys) {
   return t;
 }
 
+// Depth of a built tree by a full DFS, the root counting 1: the reference
+// for the depth phase 1 records in its tallies.
+std::uint64_t dfs_depth(const State& st) {
+  if (st.n() == 0) return 0;
+  std::uint64_t max_depth = 0;
+  std::vector<std::pair<std::int64_t, std::uint64_t>> stack{{st.root_idx(), 1}};
+  while (!stack.empty()) {
+    const auto [node, d] = stack.back();
+    stack.pop_back();
+    if (node == kNoIdx) continue;
+    max_depth = std::max(max_depth, d);
+    stack.emplace_back(st.child_of(node, kSmall), d + 1);
+    stack.emplace_back(st.child_of(node, kBig), d + 1);
+  }
+  return max_depth;
+}
+
+// The record is half a cache line for 8-byte keys, and the tree indexes
+// exactly the inputs its 32-bit links can name.  The guard is a plain
+// predicate, checked here without allocating anything.
+static_assert(sizeof(wfsort::detail::PackedNode<std::uint64_t>) == 32 &&
+              alignof(wfsort::detail::PackedNode<std::uint64_t>) == 32);
+
+TEST(TreeStateDetail, IndexBoundIsTwoToThe31MinusOne) {
+  EXPECT_TRUE(wfsort::detail::tree_indexable((std::uint64_t{1} << 31) - 1));
+  EXPECT_FALSE(wfsort::detail::tree_indexable(std::uint64_t{1} << 31));
+  EXPECT_FALSE(wfsort::detail::tree_indexable(std::uint64_t{1} << 32));
+}
+
 TEST(TreeStateDetail, LessBreaksTiesByIndex) {
   std::vector<std::uint64_t> keys{5, 5, 3};
   wfsort::RunArena arena;
@@ -82,7 +111,7 @@ TEST(TreeStateDetail, BuildOneShapesKnownTree) {
   EXPECT_EQ(st->child_of(0, kBig), 2);
   EXPECT_EQ(st->child_of(1, kBig), 3);
   EXPECT_EQ(st->child_of(1, kSmall), kNoIdx);
-  EXPECT_EQ(st->measure_depth(), 3u);
+  EXPECT_EQ(dfs_depth(*st), 3u);
 }
 
 TEST(TreeStateDetail, BuildFromInsertsBelowGivenParent) {
@@ -316,6 +345,42 @@ TEST(TreeStateDetail, BuildBatchOverStripedJobsMatchesSequentialBuild) {
                           "n=" + std::to_string(n) + " batch=" + std::to_string(batch) +
                               " pattern=" + std::to_string(pattern));
       }
+    }
+  }
+}
+
+// The depth phase 1 tallies (start depth + iterations of every finished
+// element, maximum over the workers) is the finished tree's depth, for one
+// driving thread and for four racing over the same stripes in different
+// orders.
+TEST(TreeStateDetail, BuildBatchTallyDepthEqualsTreeDepth) {
+  wfsort::Rng rng(23);
+  for (const std::uint32_t threads : {1u, 4u}) {
+    for (int pattern = 0; pattern < 3; ++pattern) {
+      constexpr std::size_t kN = 4097;
+      std::vector<std::uint64_t> keys(kN);
+      for (std::size_t i = 0; i < kN; ++i) {
+        keys[i] = pattern == 0 ? rng.next() : pattern == 1 ? i : rng.below(8);
+      }
+      const wfsort::StripedJobs jobs(kN, 64);
+      BuiltTree t = unbuilt(keys);
+      std::vector<wfsort::detail::BuildTally> tallies(threads);
+      {
+        std::vector<std::jthread> crew;
+        for (std::uint32_t w = 0; w < threads; ++w) {
+          crew.emplace_back([&, w] {
+            for (std::uint64_t k = 0; k < jobs.jobs; ++k) {
+              const std::uint64_t j = (k + w * jobs.jobs / threads) % jobs.jobs;
+              wfsort::detail::build_batch(*t.state, jobs.stripe(j), tallies[w],
+                                          kKeepGoing);
+            }
+          });
+        }
+      }
+      std::uint64_t depth = 0;
+      for (const auto& tally : tallies) depth = std::max(depth, tally.max_depth);
+      EXPECT_EQ(depth, dfs_depth(*t.state))
+          << "threads=" << threads << " pattern=" << pattern;
     }
   }
 }
@@ -826,7 +891,7 @@ TEST(TreeStateDetail, AllPlacedAndMeasureDepth) {
   ASSERT_TRUE(wfsort::detail::tree_sum(*st, 0, kKeepGoing));
   ASSERT_TRUE(wfsort::detail::find_place_emit(*st, 0, /*seq_cutoff=*/0, kKeepGoing));
   EXPECT_TRUE(st->all_placed());
-  EXPECT_EQ(st->measure_depth(), 3u);  // 3 -> 1 -> 2 chain
+  EXPECT_EQ(dfs_depth(*st), 3u);  // 3 -> 1 -> 2 chain
 }
 
 // ------------------------------------------------------ completion contract

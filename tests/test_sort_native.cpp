@@ -131,6 +131,64 @@ TEST(SortNative, TrivialStructKeyByField) {
   }
 }
 
+// Keys wider than 8 bytes: the core's std::atomic<Key> output slots become
+// out-of-line libatomic calls, which the library links.  Their pivot-tree
+// records pad to 64 bytes.
+struct Wide16 {
+  std::uint64_t key;
+  std::uint64_t payload;  // the input index
+};
+struct Wide24 {
+  std::uint64_t key;
+  std::uint64_t payload;  // the input index
+  std::uint64_t pad;
+};
+static_assert(sizeof(wfsort::detail::PackedNode<Wide16>) == 64 &&
+              alignof(wfsort::detail::PackedNode<Wide16>) == 64);
+static_assert(sizeof(wfsort::detail::PackedNode<Wide24>) == 64);
+
+template <typename W>
+void expect_wide_keys_sort() {
+  constexpr std::size_t kN = 5000;
+  Rng rng(sizeof(W));
+  std::vector<W> orig(kN);
+  for (std::size_t i = 0; i < kN; ++i) {
+    orig[i] = W{};
+    orig[i].key = rng.below(kN / 4);  // duplicates: ties go by input index
+    orig[i].payload = i;
+  }
+  const auto by_key = [](const W& a, const W& b) { return a.key < b.key; };
+  std::vector<W> expected = orig;
+  std::stable_sort(expected.begin(), expected.end(), by_key);
+  const auto payloads = [](const std::vector<W>& v) {
+    std::vector<std::uint64_t> p;
+    for (const W& w : v) p.push_back(w.payload);
+    return p;
+  };
+  const struct {
+    const char* name;
+    Options opts;
+  } configs[] = {
+      {"det-tree", {.threads = 4, .phase1 = Phase1::kTree}},
+      {"lc", {.threads = 4, .variant = Variant::kLowContention}},
+      {"det-partition", {.threads = 4, .phase1 = Phase1::kPartition}},
+  };
+  for (const auto& c : configs) {
+    const std::string where = std::to_string(sizeof(W)) + "-byte key, " + c.name;
+    std::vector<W> v = orig;
+    wfsort::sort(std::span<W>(v), c.opts, nullptr, by_key);
+    EXPECT_EQ(payloads(v), payloads(expected)) << where;
+    const auto perm = wfsort::sort_permutation(std::span<const W>(orig), c.opts, by_key);
+    std::vector<std::uint64_t> perm64(perm.begin(), perm.end());
+    EXPECT_EQ(perm64, payloads(expected)) << where << " (permutation)";
+  }
+}
+
+TEST(SortNative, KeysWiderThanEightBytes) {
+  expect_wide_keys_sort<Wide16>();
+  expect_wide_keys_sort<Wide24>();
+}
+
 TEST(SortNative, SorterObjectReuse) {
   wfsort::Sorter<std::uint64_t> sorter(Options{.threads = 2});
   for (int round = 0; round < 3; ++round) {
