@@ -90,7 +90,8 @@ inline constexpr std::uint64_t kCopyChunk = 8192;
 // defined from this), not just the nominal thread count — replacement
 // workers get ids past `threads`.  LC's per-worker sorted-order buffers and
 // a session's Recorder cover them all; one-shot and pooled runs use ids
-// below `threads` only, and their Recorders have just that many slots.
+// below their width (sort.h's run_width) only: a one-shot run's Recorder
+// has a slot per id, the pool's recycled one a slot per thread.
 inline constexpr std::uint32_t kTelemetrySlots = 64;
 
 // Whether a run records, and how: the one decision behind the Engine's own
@@ -130,12 +131,19 @@ class Engine {
   // `recorder` (optional) lends the engine telemetry scratch with a slot for
   // every worker id the run will use; a borrowed recorder must already be
   // reuse()-armed to recording_for's level (SortPool and SortSession lend
-  // one).  Without one the engine builds its own, with a slot per nominal
-  // thread, when recording_for says the run records: `want_stats` is
-  // whether the caller will read stats().
+  // one).  Without one the engine builds its own, with a slot per worker,
+  // when recording_for says the run records: `want_stats` is whether the
+  // caller will read stats().
+  //
+  // `workers` is the run's width (sort.h's run_width), the ids 0..workers-1
+  // it drives, and sizes that own Recorder; 0 means Options::threads.  The
+  // phases shape their shared state (WAT start leaves, LC groups, fat-tree
+  // quotas) by the nominal thread count whatever the width, so the output
+  // does not depend on it.
   Engine(std::span<Key> data, Compare cmp, const Options& opts,
          bool assemble_into_data = true, RunArena* arena = nullptr,
-         telemetry::Recorder* recorder = nullptr, bool want_stats = false)
+         telemetry::Recorder* recorder = nullptr, bool want_stats = false,
+         std::uint32_t workers = 0)
       : data_(data),
         cmp_(cmp),
         opts_(opts),
@@ -171,8 +179,8 @@ class Engine {
       recorder_ = recorder;
     } else if (const Recording r = recording_for(opts, want_stats, data_.size());
                r.level != telemetry::Level::kOff) {
-      recorder_owned_ = std::make_unique<telemetry::Recorder>(r.level, nominal_threads_,
-                                                              r.ring_capacity);
+      recorder_owned_ = std::make_unique<telemetry::Recorder>(
+          r.level, workers != 0 ? workers : nominal_threads_, r.ring_capacity);
       recorder_ = recorder_owned_.get();
     }
     if (copy_back_ && data_.size() > 1) {
@@ -278,14 +286,17 @@ class Engine {
 
   // The run's statistics.  Every counter comes from the telemetry Report,
   // so they are zero until the snapshot (after the join) and for N <= 1.
+  // The Report lists every worker that ran (each records a span), crashed
+  // or not; without one (N <= 1) every worker that ran completed.
   SortStats stats() const {
     SortStats s;
     s.n = data_.size();
-    s.workers = nominal_threads_;
     s.completed_workers = completed_.load(std::memory_order_relaxed);
+    s.workers = s.completed_workers;
     s.telemetry = report_;
     if (report_ != nullptr) {
       using telemetry::Counter;
+      s.workers = static_cast<std::uint32_t>(report_->workers.size());
       s.crashed_workers = report_->crashed_workers();
       s.max_build_iters = report_->max_build_iters();
       s.tree_depth = static_cast<std::uint32_t>(report_->tree_depth());

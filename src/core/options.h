@@ -51,7 +51,11 @@ enum class Variant {
 enum class Phase1 { kTree, kPartition };
 
 struct Options {
-  std::uint32_t threads = 0;  // 0 = std::thread::hardware_concurrency()
+  // Workers of a run, 0 = std::thread::hardware_concurrency().  The caller
+  // is worker 0; the others get threads of their own (SortPool: its parked
+  // ones).  A fault-free run below kCallerOnlyCutoff (sort.h, 2^13) has
+  // the caller alone, whatever this says; a fault plan always gets them all.
+  std::uint32_t threads = 0;
   Variant variant = Variant::kDeterministic;
   Phase1 phase1 = Phase1::kTree;
   std::uint64_t seed = 0x50535a97ULL;  // randomized-variant randomness
@@ -128,13 +132,17 @@ struct Options {
   }
 };
 
-// Per-run diagnostics, filled after the workers join.  Apart from n,
-// workers and completed_workers, every field is read off the run's
-// telemetry Report (asking for SortStats makes a run record at least
-// Level::kPhases), so a field is zero when no Report exists, i.e. N <= 1.
-// Phase times are in the Report: telemetry->phase_max_ms(PhaseId).
+// Per-run diagnostics, filled after the workers join.  Apart from n and
+// completed_workers, every field is read off the run's telemetry Report
+// (asking for SortStats makes a run record at least Level::kPhases), so a
+// counter is zero when no Report exists, i.e. N <= 1.  Phase times are in
+// the Report: telemetry->phase_max_ms(PhaseId).
 struct SortStats {
   std::uint64_t n = 0;
+  // Workers that ran: the run's width (1 for a fault-free call below
+  // kCallerOnlyCutoff, else `threads`; sort.h's run_width), less any id a
+  // pooled run's parked threads had not claimed when the sort was done.
+  // Every one of them completed or crashed: workers = completed + crashed.
   std::uint32_t workers = 0;
   std::uint32_t crashed_workers = 0;    // fault-injected exits
   std::uint32_t completed_workers = 0;  // workers that ran all phases

@@ -32,7 +32,8 @@
 // Because the result is ready as soon as ANY worker finishes (write-once
 // idempotent stores make the output schedule-independent), the submitting
 // thread always participates as worker 0 and never depends on a parked
-// thread showing up: below kCallerOnlyCutoff it doesn't even wake one (the
+// thread showing up: below kCallerOnlyCutoff (sort.h, shared with the
+// one-shot entry points through run_width) it doesn't even wake one (the
 // small-N fast path), and on the wake path it drains unclaimed worker ids
 // itself if the pool is short-handed.  docs/native_engine.md "SortPool" has
 // the lifecycle diagram and the measured crossover.
@@ -48,7 +49,6 @@
 #include <mutex>
 #include <span>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "common/arena.h"
@@ -66,7 +66,7 @@ namespace wfsort {
 struct PoolStats {
   std::uint32_t threads = 0;           // parked workers
   std::uint64_t runs = 0;              // sorts driven through the pool
-  std::uint64_t caller_only_runs = 0;  // small-N fast path (no worker wake)
+  std::uint64_t caller_only_runs = 0;  // width-1 runs (no worker wake)
   std::uint64_t bypass_runs = 0;       // arena contended -> one-shot arena
   std::uint64_t arena_reuse_bytes = 0; // bytes served from retained buffers
   std::uint64_t arena_grow_events = 0; // retained-slot (re)allocations
@@ -76,23 +76,6 @@ struct PoolStats {
 
 class SortPool {
  public:
-  // Below this input size a pooled sort never wakes a worker: the
-  // submitting thread runs worker 0 to completion (wait-freedom makes one
-  // worker always sufficient), turning a small-N sort into a plain
-  // function call over warm storage.  Median per-call wall on a 4-vCPU
-  // host (det-partition, t = 4, 400 alternating pooled and cold calls per
-  // size, 4 runs):
-  //
-  //   N     caller-only     wake path
-  //   2^14  0.83-0.91 ms    0.50-0.58 ms
-  //   2^13  0.47-0.50 ms    0.34-0.36 ms
-  //   2^12  0.14-0.22 ms    0.25 ms
-  //
-  // A new pool plus its first call at 2^14 took 0.88-1.19 ms caller-only
-  // against 0.64-0.66 ms on the wake path.  2^10 runs caller-only either
-  // way.
-  static constexpr std::uint64_t kCallerOnlyCutoff = std::uint64_t{1} << 13;
-
   // In-flight job slots (a ring; submits block when all are pending).
   static constexpr std::uint32_t kRunSlots = 128;
 
@@ -205,8 +188,8 @@ class SortPool {
   };
 
   // The pooled run: lease the arena (or bypass it), then detail::sort_run
-  // driven the pool's way: the caller runs worker 0 alone (small N, no
-  // fault plan), or publishes ids 1..workers-1 to the parked workers, runs
+  // driven the pool's way: the caller runs worker 0 alone (a width-1 run,
+  // see run_width), or publishes ids 1..width-1 to the parked workers, runs
   // worker 0 itself and then drains what nobody claimed.  `plan` is nullptr
   // (a plain sort, which cannot fail) or a FaultPlan*.
   template <typename T, typename Compare, typename Plan>
@@ -227,21 +210,15 @@ class SortPool {
     }
     // sort_run destroys the Engine before it returns, i.e. before ~Lease.
     const bool ok = detail::sort_run(
-        data, opts, stats, cmp, arena, rec,
-        [this, &opts, plan](detail::Engine<T, Compare>& engine) {
-          const std::uint32_t workers = opts.resolved_threads();
-          // Fault runs always take the wake path: the plan's kill schedule
-          // is written against multiple live worker ids.
-          constexpr bool kFaulted = !std::is_same_v<Plan, std::nullptr_t>;
-          if (!kFaulted && (workers <= 1 || engine.size() < kCallerOnlyCutoff ||
-                            workers_.empty())) {
-            engine.run_worker(0);
+        data, opts, stats, cmp, plan, /*assemble_into_data=*/true, arena, rec,
+        [this, plan](detail::Engine<T, Compare>& engine, std::uint32_t width) {
+          if (width == 1) {
+            engine.run_worker(0, plan);
             caller_only_runs_.fetch_add(1, std::memory_order_relaxed);
             return;
           }
           EngineCtx<T, Compare, Plan> ctx{&engine, plan};
-          const BlockingRun h =
-              begin_blocking(&decltype(ctx)::entry, &ctx, workers);
+          const BlockingRun h = begin_blocking(&decltype(ctx)::entry, &ctx, width);
           finish_blocking(h, engine.run_worker(0, plan));
         });
     runs_.fetch_add(1, std::memory_order_relaxed);

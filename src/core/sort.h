@@ -5,11 +5,12 @@
 //   wfsort::sort(std::span(v), {.threads = 8,
 //                               .variant = wfsort::Variant::kLowContention});
 //
-// The call blocks until the array is sorted.  Internally P worker threads
-// execute the paper's three phases; every phase is wait-free, so the sort
-// completes as long as at least one worker keeps running — the fault-
-// injection entry point sort_with_faults() (and the SortSession API in
-// session.h) demonstrates exactly that.
+// The call blocks until the array is sorted.  The caller is worker 0 of the
+// paper's three phases and, below kCallerOnlyCutoff (2^13) elements, the
+// only one; larger inputs add workers 1..P-1 on threads of their own.  Every
+// phase is wait-free, so the sort completes as long as at least one worker
+// keeps running — the fault-injection entry point sort_with_faults() (and
+// the SortSession API in session.h) demonstrates exactly that.
 #pragma once
 
 #include <chrono>
@@ -29,25 +30,51 @@
 
 namespace wfsort {
 
+// Below this input size a fault-free run has one worker, worker 0, on the
+// caller: wait-freedom makes one worker always sufficient, so a small sort
+// is a plain function call instead of P-1 thread starts (or wakes) and a
+// join.  It is the one cutoff of wfsort::sort, sort_permutation, Sorter and
+// SortPool.  Median per-call wall of a pooled sort on a 4-vCPU host
+// (det-partition, t = 4, 400 alternating pooled and cold calls per size,
+// 4 runs):
+//
+//   N     caller-only     wake path
+//   2^14  0.83-0.91 ms    0.50-0.58 ms
+//   2^13  0.47-0.50 ms    0.34-0.36 ms
+//   2^12  0.14-0.22 ms    0.25 ms
+//
+// A new pool plus its first call at 2^14 took 0.88-1.19 ms caller-only
+// against 0.64-0.66 ms on the wake path.  2^10 runs caller-only either way.
+inline constexpr std::uint64_t kCallerOnlyCutoff = std::uint64_t{1} << 13;
+
 namespace detail {
 
-// The one thread driver of the one-shot entry points: run `workers` workers
-// (tids 0..workers-1) over `engine` under `plan` and join them.  One worker,
-// or an input with nothing to sort, runs inline on the caller.  `Plan` is
-// runtime::FaultPlan* or std::nullptr_t; like the telemetry nullptr, the
-// latter lets the compiler drop every fault checkpoint of a fault-free run.
+// How many workers a run uses, ids 0..width-1 with id 0 on the caller: the
+// one rule of every blocking entry point.  A fault-free run below
+// kCallerOnlyCutoff is the caller alone; every other run has all `threads`.
+// A fault plan always gets every worker id, even an empty plan, because its
+// schedule is written against ids.
+inline std::uint32_t run_width(std::uint64_t n, std::uint32_t threads, bool faulted) {
+  return faulted || n >= kCallerOnlyCutoff ? threads : 1;
+}
+
+// The one-shot entry points' thread driver: run workers 0..width-1 over
+// `engine` under `plan` and join them.  The caller runs worker 0 itself
+// rather than waiting in the join, and ids 1..width-1 get jthreads of their
+// own, so a width-1 run starts no thread.  The phase scratch kept in
+// thread_locals (the DFS stacks, PartitionLocal, the bucket scratch) therefore
+// stays allocated in the caller's thread after the call, as it does for
+// SortPool's caller.  `Plan` is runtime::FaultPlan* or std::nullptr_t; like
+// the telemetry nullptr, the latter lets the compiler drop every fault
+// checkpoint of a fault-free run.
 template <typename T, typename Compare, typename Plan = std::nullptr_t>
-void run_workers(Engine<T, Compare>& engine, std::uint32_t workers,
-                 Plan plan = nullptr) {
-  if (workers <= 1 || engine.size() <= 1) {
-    engine.run_worker(0, plan);
-    return;
-  }
-  std::vector<std::jthread> threads;  // joined on return
-  threads.reserve(workers);
-  for (std::uint32_t tid = 0; tid < workers; ++tid) {
+void run_workers(Engine<T, Compare>& engine, std::uint32_t width, Plan plan = nullptr) {
+  std::vector<std::jthread> threads;  // joined on return, after worker 0
+  threads.reserve(width - 1);
+  for (std::uint32_t tid = 1; tid < width; ++tid) {
     threads.emplace_back([&engine, tid, plan] { engine.run_worker(tid, plan); });
   }
+  engine.run_worker(0, plan);
 }
 
 // Build and start the run's live monitor over the engine's Recorder.
@@ -72,15 +99,21 @@ inline std::unique_ptr<telemetry::Monitor> start_monitor(
   return mon;
 }
 
-// The one run of every blocking entry point (sort and sort_with_faults here,
-// SortPool's two in pool.h): build the engine over `arena` and `rec` (null:
-// the engine makes its own if recording_for says the run records), let
-// `drive(engine)` run workers until none is left running, and deliver the
-// output if some worker completed.  `stats`, if given, is filled from the
-// run's Report after the join.  Returns whether some worker completed.
-template <typename T, typename Compare, typename Drive>
+// The one run of every blocking entry point (sort, sort_with_faults and
+// sort_permutation here, SortPool's two in pool.h): take the run's width from
+// run_width, build the engine over `arena` and `rec` (null: the engine makes
+// its own if recording_for says the run records), let `drive(engine, width)`
+// run workers 0..width-1 until none is left running, and deliver the output
+// if some worker completed.  `plan` is a runtime::FaultPlan* (a faulted run)
+// or nullptr; `assemble_into_data` is false only for sort_permutation, whose
+// input stays untouched.  `stats`, if given, is filled from the run's Report
+// after the join.  Returns whether some worker completed.
+template <typename T, typename Compare, typename Plan, typename Drive>
 bool sort_run(std::span<T> data, const Options& opts, SortStats* stats, Compare cmp,
-              RunArena* arena, telemetry::Recorder* rec, Drive drive) {
+              Plan plan, bool assemble_into_data, RunArena* arena,
+              telemetry::Recorder* rec, Drive drive) {
+  const std::uint32_t width =
+      run_width(data.size(), opts.resolved_threads(), plan != nullptr);
   // A live monitor needs telemetry on (so the engine holds a Recorder), a
   // sink path and a sampling interval; every other run skips the clock read
   // and the monitor plumbing entirely.
@@ -88,11 +121,11 @@ bool sort_run(std::span<T> data, const Options& opts, SortStats* stats, Compare 
                          opts.monitor_interval_ms != 0 && !opts.monitor_path.empty();
   const auto t_start = monitored ? std::chrono::steady_clock::now()
                                  : std::chrono::steady_clock::time_point{};
-  Engine<T, Compare> engine(data, cmp, opts, /*assemble_into_data=*/true, arena, rec,
-                            /*want_stats=*/stats != nullptr);
+  Engine<T, Compare> engine(data, cmp, opts, assemble_into_data, arena, rec,
+                            /*want_stats=*/stats != nullptr, width);
   auto monitor =
       monitored ? start_monitor(engine.recorder(), opts, data.size()) : nullptr;
-  drive(engine);
+  drive(engine, width);
   const bool ok = engine.result_ready();
   if (ok) {
     engine.finalize();
@@ -117,21 +150,24 @@ bool sort_run(std::span<T> data, const Options& opts, SortStats* stats, Compare 
 template <typename T, typename Compare = std::less<T>>
 void sort(std::span<T> data, const Options& opts = {}, SortStats* stats = nullptr,
           Compare cmp = Compare{}) {
-  detail::sort_run(data, opts, stats, cmp, nullptr, nullptr, [&opts](auto& engine) {
-    detail::run_workers(engine, opts.resolved_threads());
-  });
+  detail::sort_run(data, opts, stats, cmp, nullptr, /*assemble_into_data=*/true, nullptr,
+                   nullptr, [](auto& engine, std::uint32_t width) {
+                     detail::run_workers(engine, width);
+                   });
 }
 
 // Sort under a fault plan (crashes / page-fault sleeps injected into chosen
 // workers).  Returns true if the sort completed — i.e. at least one worker
 // survived; on false `data` is untouched.  This is the wait-freedom
-// experiment harness (E9).
+// experiment harness (E9).  Every one of the `threads` workers runs, at any
+// N: the plan names worker ids.
 template <typename T, typename Compare = std::less<T>>
 bool sort_with_faults(std::span<T> data, const Options& opts, runtime::FaultPlan& plan,
                       SortStats* stats = nullptr, Compare cmp = Compare{}) {
-  return detail::sort_run(data, opts, stats, cmp, nullptr, nullptr,
-                          [&opts, &plan](auto& engine) {
-                            detail::run_workers(engine, opts.resolved_threads(), &plan);
+  return detail::sort_run(data, opts, stats, cmp, &plan, /*assemble_into_data=*/true,
+                          nullptr, nullptr,
+                          [&plan](auto& engine, std::uint32_t width) {
+                            detail::run_workers(engine, width, &plan);
                           });
 }
 
@@ -139,11 +175,13 @@ bool sort_with_faults(std::span<T> data, const Options& opts, runtime::FaultPlan
 // the index of the element with that rank (i.e. data[perm[0]] <= ... <=
 // data[perm[n-1]], ties by index).  Useful when elements are heavyweight or
 // must stay in place; runs the same wait-free phases, skipping only the
-// final copy-back.
+// final copy-back.  `stats`, if given, receives per-run diagnostics (none
+// for N <= 1).
 template <typename T, typename Compare = std::less<T>>
 std::vector<std::uint32_t> sort_permutation(std::span<const T> data,
                                             const Options& opts = {},
-                                            Compare cmp = Compare{}) {
+                                            Compare cmp = Compare{},
+                                            SortStats* stats = nullptr) {
   std::vector<std::uint32_t> perm(data.size());
   if (data.size() <= 1) {
     if (data.size() == 1) perm[0] = 0;
@@ -152,11 +190,12 @@ std::vector<std::uint32_t> sort_permutation(std::span<const T> data,
   // The engine never writes the input: copy-back is disabled below and the
   // const_cast span is only a formality of its (normally in-place) interface.
   std::span<T> mutable_view(const_cast<T*>(data.data()), data.size());
-  detail::Engine<T, Compare> engine(mutable_view, cmp, opts,
-                                    /*assemble_into_data=*/false);
-  detail::run_workers(engine, opts.resolved_threads());
-  WFSORT_CHECK(engine.result_ready());
-  engine.output().permutation(perm);
+  detail::sort_run(mutable_view, opts, stats, cmp, nullptr, /*assemble_into_data=*/false,
+                   nullptr, nullptr, [&perm](auto& engine, std::uint32_t width) {
+                     detail::run_workers(engine, width);
+                     WFSORT_CHECK(engine.result_ready());
+                     engine.output().permutation(perm);
+                   });
   return perm;
 }
 

@@ -28,6 +28,7 @@
 #include <random>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/pool.h"
@@ -282,7 +283,7 @@ TEST(SortPoolAlloc, SteadyStateCallerOnlySubmitMakesZeroAllocations) {
   // Just under the cutoff (three det-partition buckets), then half of it
   // (two).
   for (const std::size_t n :
-       {SortPool::kCallerOnlyCutoff - 1, SortPool::kCallerOnlyCutoff / 2}) {
+       {wfsort::kCallerOnlyCutoff - 1, wfsort::kCallerOnlyCutoff / 2}) {
     // Warm the arena and the calling thread's worker scratch.
     for (int i = 0; i < 3; ++i) {
       for (const Options& opts : shapes) {
@@ -478,6 +479,108 @@ TEST(SortPoolStats, CountersAreCoherent) {
   // The big run woke parked workers; if one claimed before the caller
   // finished, wake_ns was measured.  Either way it must not go backwards.
   EXPECT_GE(ps.wake_ns, 0u);
+}
+
+// ------------------------------------------------------ caller-only cutoff
+
+// Records which threads compared keys: the caller (the thread that built
+// the witness) or any other.
+struct ThreadWitness {
+  std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> on_caller{false};
+  std::atomic<bool> off_caller{false};
+};
+
+struct WitnessLess {
+  ThreadWitness* w;
+  bool operator()(std::uint64_t a, std::uint64_t b) const {
+    std::atomic<bool>& seen =
+        std::this_thread::get_id() == w->caller ? w->on_caller : w->off_caller;
+    if (!seen.load(std::memory_order_relaxed)) seen.store(true, std::memory_order_relaxed);
+    return a < b;
+  }
+};
+
+// One width rule for every blocking entry point, at N = cutoff-1, cutoff
+// and cutoff+1: below the cutoff, or at t = 1, no key is compared off the
+// caller's thread; at or above it with t = 4, the caller compares keys
+// itself (it is worker 0).  Outputs equal std::sort or the stable argsort.
+TEST(CallerOnlyCutoff, WidthRuleAtTheBoundary) {
+  using wfsort::kCallerOnlyCutoff;
+  const struct {
+    const char* name;
+    Options opts;
+  } configs[] = {{"det-tree", det_tree_opts()},
+                 {"det-partition", det_partition_opts()},
+                 {"lc", lc_opts()}};
+  enum class Entry { kSort, kPermutation, kSorter, kPool };
+  const struct {
+    Entry entry;
+    const char* name;
+  } entries[] = {{Entry::kSort, "sort"},
+                 {Entry::kPermutation, "sort_permutation"},
+                 {Entry::kSorter, "Sorter"},
+                 {Entry::kPool, "SortPool::sort"}};
+  SortPool pool(4);
+  for (const std::uint64_t n : {kCallerOnlyCutoff - 1, kCallerOnlyCutoff, kCallerOnlyCutoff + 1}) {
+    std::vector<std::uint64_t> input = random_values(n, 1200 + n);
+    for (auto& x : input) x %= n / 2;  // ties exercise the index tie-break
+    std::vector<std::uint64_t> sorted = input;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<std::uint32_t> argsort(n);
+    for (std::uint32_t i = 0; i < n; ++i) argsort[i] = i;
+    std::stable_sort(argsort.begin(), argsort.end(),
+                     [&input](std::uint32_t x, std::uint32_t y) { return input[x] < input[y]; });
+    for (const std::uint32_t t : {1u, 4u}) {
+      const bool solo = n < kCallerOnlyCutoff || t == 1;
+      for (const auto& c : configs) {
+        Options opts = c.opts;
+        opts.threads = t;
+        for (const auto& [entry, entry_name] : entries) {
+          const std::string where = std::string(entry_name) + " " + c.name + " n=" +
+                                    std::to_string(n) + " t=" + std::to_string(t);
+          // A descheduled caller can find every job of a tree run already
+          // done and so compare nothing; only a witness that it never
+          // compared in several tries would show it is not worker 0.
+          bool caller_compared = false;
+          for (int attempt = 0; attempt < 5 && !caller_compared; ++attempt) {
+            ThreadWitness w;
+            const WitnessLess cmp{&w};
+            SortStats stats;
+            if (entry == Entry::kPermutation) {
+              EXPECT_EQ(wfsort::sort_permutation(std::span<const std::uint64_t>(input), opts,
+                                                 cmp, &stats),
+                        argsort)
+                  << where;
+            } else {
+              std::vector<std::uint64_t> v = input;
+              if (entry == Entry::kSort) {
+                wfsort::sort(std::span<std::uint64_t>(v), opts, &stats, cmp);
+              } else if (entry == Entry::kSorter) {
+                wfsort::Sorter<std::uint64_t, WitnessLess> sorter(opts, cmp);
+                sorter(std::span<std::uint64_t>(v));
+                stats = sorter.last_stats();
+              } else {
+                pool.sort(std::span<std::uint64_t>(v), opts, &stats, cmp);
+              }
+              EXPECT_EQ(v, sorted) << where;
+            }
+            EXPECT_EQ(stats.completed_workers + stats.crashed_workers, stats.workers) << where;
+            if (solo) {
+              EXPECT_FALSE(w.off_caller.load()) << where;
+              EXPECT_EQ(stats.workers, 1u) << where;
+            } else if (entry != Entry::kPool) {
+              EXPECT_EQ(stats.workers, t) << where;  // a pool may leave ids unclaimed
+            }
+            caller_compared = w.on_caller.load();
+          }
+          if (!solo) {
+            EXPECT_TRUE(caller_compared) << where;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -269,13 +269,17 @@ std::string sweep_name(const testing::TestParamInfo<SweepParam>& info) {
 
 class SortSweep : public testing::TestWithParam<SweepParam> {};
 
+// Every size here is below kCallerOnlyCutoff, where a plain sort runs on the
+// caller alone.  An empty fault plan keeps all `threads` workers racing; the
+// plain call must give the same output with one worker.
 TEST_P(SortSweep, SortsToPermutation) {
   const SweepParam p = GetParam();
+  const Options opts{.threads = p.threads, .variant = p.variant};
   auto v = make_workload(p.workload, p.n, 1234 + p.n);
   auto orig = v;
+  wfsort::runtime::FaultPlan no_faults(p.threads);
   SortStats stats;
-  wfsort::sort(std::span<std::uint64_t>(v),
-               Options{.threads = p.threads, .variant = p.variant}, &stats);
+  ASSERT_TRUE(wfsort::sort_with_faults(std::span<std::uint64_t>(v), opts, no_faults, &stats));
   expect_sorted_permutation(orig, v, param_label(p));
 
   if (p.n >= 2) {
@@ -286,6 +290,13 @@ TEST_P(SortSweep, SortsToPermutation) {
     EXPECT_EQ(stats.completed_workers, p.threads);
     EXPECT_EQ(stats.crashed_workers, 0u);
   }
+
+  auto solo = orig;
+  SortStats solo_stats;
+  wfsort::sort(std::span<std::uint64_t>(solo), opts, &solo_stats);
+  EXPECT_EQ(solo, v);
+  EXPECT_EQ(solo_stats.workers, 1u);
+  EXPECT_EQ(solo_stats.completed_workers, 1u);
 }
 
 std::vector<SweepParam> make_sweep() {
@@ -338,21 +349,30 @@ std::string knob_label(const KnobParam& p) {
 
 class KnobSweep : public testing::TestWithParam<KnobParam> {};
 
+// N = 1500 is below kCallerOnlyCutoff: an empty fault plan keeps three
+// workers racing, and the plain call, the caller alone, must match them.
 TEST_P(KnobSweep, SortsToPermutation) {
   const KnobParam p = GetParam();
+  const Options opts{.threads = 3,
+                     .variant = p.variant,
+                     .phase1 = p.phase1,
+                     .wat_batch = static_cast<std::uint32_t>(p.wat_batch),
+                     .seq_cutoff = p.seq_cutoff};
   auto v = make_workload(Workload::kRandom, 1500, 7000 + p.wat_batch + p.seq_cutoff);
   auto orig = v;
+  wfsort::runtime::FaultPlan no_faults(3);
   SortStats stats;
-  wfsort::sort(std::span<std::uint64_t>(v),
-               Options{.threads = 3,
-                       .variant = p.variant,
-                       .phase1 = p.phase1,
-                       .wat_batch = static_cast<std::uint32_t>(p.wat_batch),
-                       .seq_cutoff = p.seq_cutoff},
-               &stats);
+  ASSERT_TRUE(wfsort::sort_with_faults(std::span<std::uint64_t>(v), opts, no_faults, &stats));
   expect_sorted_permutation(orig, v, knob_label(p));
   EXPECT_LE(stats.max_build_iters, v.size() - 1);  // Lemma 2.4 at any batch
   EXPECT_EQ(stats.completed_workers, 3u);
+
+  auto solo = orig;
+  SortStats solo_stats;
+  wfsort::sort(std::span<std::uint64_t>(solo), opts, &solo_stats);
+  EXPECT_EQ(solo, v);
+  EXPECT_EQ(solo_stats.workers, 1u);
+  EXPECT_EQ(solo_stats.completed_workers, 1u);
 }
 
 std::vector<KnobParam> make_knob_sweep() {
@@ -541,14 +561,24 @@ TEST(SortNative, LowContentionFallsBackBelowThreshold) {
   EXPECT_EQ(engine.effective_variant(), Variant::kDeterministic);
 }
 
+// N = 5000 is below kCallerOnlyCutoff: an empty fault plan keeps four
+// workers racing, and the plain call, the caller alone, must match them.
 TEST(SortNative, LowContentionLargerArray) {
+  const Options opts{.threads = 4, .variant = Variant::kLowContention};
   auto v = make_workload(Workload::kRandom, 5000, 21);
   auto orig = v;
+  wfsort::runtime::FaultPlan no_faults(4);
   SortStats stats;
-  wfsort::sort(std::span<std::uint64_t>(v),
-               Options{.threads = 4, .variant = Variant::kLowContention}, &stats);
+  ASSERT_TRUE(wfsort::sort_with_faults(std::span<std::uint64_t>(v), opts, no_faults, &stats));
   expect_sorted_permutation(orig, v, "lc-5000");
   EXPECT_EQ(stats.completed_workers, 4u);
+
+  auto solo = orig;
+  SortStats solo_stats;
+  wfsort::sort(std::span<std::uint64_t>(solo), opts, &solo_stats);
+  EXPECT_EQ(solo, v);
+  EXPECT_EQ(solo_stats.workers, 1u);
+  EXPECT_EQ(solo_stats.completed_workers, 1u);
 }
 
 TEST(SortNative, LowContentionAdversarialSortedInput) {

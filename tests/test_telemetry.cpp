@@ -15,6 +15,7 @@
 
 #include "common/json.h"
 #include "common/rng.h"
+#include "core/pool.h"
 #include "core/session.h"
 #include "core/sort.h"
 #include "runtime/fault_plan.h"
@@ -322,6 +323,47 @@ TEST(NativeTelemetry, SortStatsEqualsReport) {
     SortStats stats;
     wfsort::sort(std::span<std::uint64_t>(v), opts, &stats);
     EXPECT_EQ(stats.cas_failures, 0u) << (variant == Variant::kDeterministic ? "det" : "lc");
+  }
+}
+
+// SortStats::workers counts the workers that ran, each of which completed
+// or crashed, on every path: one-shot and sort_permutation (the caller alone
+// below kCallerOnlyCutoff, all `threads` at or above it), pooled caller-only
+// and pooled wake (where a parked thread may not claim its id before the
+// sort is done).  The stats document's totals.workers is the same number.
+TEST(NativeTelemetry, StatsWorkersAreTheWorkersThatRan) {
+  constexpr std::uint32_t kThreads = 4;
+  wfsort::SortPool pool(kThreads);
+  for (const std::size_t n : {std::size_t{1000}, std::size_t{20000}}) {
+    const bool solo = n < wfsort::kCallerOnlyCutoff;
+    for (const wfsort::Phase1 phase1 : {wfsort::Phase1::kTree, wfsort::Phase1::kPartition}) {
+      Options opts;
+      opts.threads = kThreads;
+      opts.phase1 = phase1;
+      const auto input = random_data(n, 79);
+      const auto check = [&](const char* path, const SortStats& stats, bool width_known) {
+        const std::string where = std::string(path) + " n=" + std::to_string(n) +
+                                  (phase1 == wfsort::Phase1::kTree ? " tree" : " partition");
+        EXPECT_EQ(stats.completed_workers + stats.crashed_workers, stats.workers) << where;
+        EXPECT_GE(stats.workers, 1u) << where;
+        EXPECT_LE(stats.workers, kThreads) << where;
+        if (width_known) {
+          EXPECT_EQ(stats.workers, solo ? 1u : kThreads) << where;
+        }
+        const Json doc = tel::native_stats_json(tel::native_run_info(opts, n), stats);
+        EXPECT_EQ(doc.at("totals").at("workers").as_u64(), stats.workers) << where;
+      };
+      SortStats stats;
+      auto v = input;
+      wfsort::sort(std::span<std::uint64_t>(v), opts, &stats);
+      check("sort", stats, true);
+      wfsort::sort_permutation(std::span<const std::uint64_t>(input), opts,
+                               std::less<std::uint64_t>{}, &stats);
+      check("sort_permutation", stats, true);
+      v = input;
+      pool.sort(std::span<std::uint64_t>(v), opts, &stats);
+      check(solo ? "pooled caller-only" : "pooled wake", stats, solo);
+    }
   }
 }
 
