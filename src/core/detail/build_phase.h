@@ -28,12 +28,12 @@
 // paper's.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 
 #include "common/bits.h"
-#include "common/simd.h"
 #include "core/detail/tree_state.h"
 #include "telemetry/recorder.h"
 
@@ -131,33 +131,13 @@ BuildResult build_one(TreeState<Key, Compare>& st, std::int64_t i) {
 // have produced sequentially: batching changes the timing, never the shape.
 // `keep_going` is polled once per completed element (the engine's fault
 // checkpoint granularity); returns false if the worker was aborted.
-inline constexpr int kBuildLanes = 8;
-static_assert(kBuildLanes <= simd::kMaxLanes);
-
-// One round of descent sides for every in-flight lane, batched through the
-// runtime-dispatched SIMD kernel when Key/Compare qualify (element keys are
-// cached in the lanes; only the parent keys are gathered — those loads warm
-// the very node lines the step loop touches next).  The kernel is
-// bit-identical to TreeState::descend_side — same key compare, same index
-// tie-break (see common/simd.h).  When the key type does not qualify the
-// step loop computes its side inline (branch-free cmov via descend_side)
-// and this helper is never instantiated.
-template <typename Key, typename Compare, typename Lane>
-inline void batch_descend_sides(const TreeState<Key, Compare>& st,
-                                simd::DescendSidesFn descend, const Lane* lanes,
-                                int active, Side* sides) {
-  std::uint64_t ekey[kBuildLanes], pkey[kBuildLanes];
-  std::int64_t eidx[kBuildLanes], pidx[kBuildLanes];
-  std::uint8_t big[kBuildLanes];
-  for (int k = 0; k < active; ++k) {
-    ekey[k] = lanes[k].ekey;
-    eidx[k] = lanes[k].elem;
-    pkey[k] = st.key_of(lanes[k].parent);
-    pidx[k] = lanes[k].parent;
-  }
-  descend(ekey, eidx, pkey, pidx, active, big);
-  for (int k = 0; k < active; ++k) sides[k] = static_cast<Side>(big[k]);
-}
+//
+// Sixteen lanes: a hop at 2^20 waits on one random access into the 32 MiB
+// record array (~155 ns on a 4-vCPU Xeon).  A step has no branch on the
+// compare, so a mispredict never discards the other lanes' loads, and a
+// t = 1 build hop costs ~18 ns: about nine misses overlap
+// (docs/native_engine.md, "Branch-free descent").
+inline constexpr int kBuildLanes = 16;
 
 template <typename Key, typename Compare, typename Check,
           typename Tel = std::nullptr_t>
@@ -167,11 +147,10 @@ bool build_batch(TreeState<Key, Compare>& st, Stripe stripe, BuildTally& tally,
   struct Lane {
     std::int64_t elem;
     std::int64_t parent;
-    Key ekey;  // cached key of elem, gathered once at refill for the batch compare
     std::uint64_t iterations;
-    // A 32-bit pair keeps a lane at 40 bytes for 8-byte keys (48 bytes cost
-    // ~5% of phase 1 at N = 2^14, t = 4 on a 4-vCPU Xeon).  pos < wat_batch
-    // < 2^32; fails stays below `iterations`.
+    // A 32-bit pair keeps a lane at 32 bytes (a 48-byte lane cost ~5% of
+    // phase 1 at N = 2^14, t = 4 on a 4-vCPU Xeon).  pos < wat_batch < 2^32;
+    // fails stays below `iterations`.
     std::uint32_t fails;  // lost install CASes, tallied when the element completes
     std::uint32_t pos;    // position in the stripe's order (decides slot races)
   };
@@ -193,7 +172,7 @@ bool build_batch(TreeState<Key, Compare>& st, Stripe stripe, BuildTally& tally,
       have_ahead = stripe.next(ahead);
       if (have_ahead) st.prefetch(static_cast<std::int64_t>(ahead));
       if (i == root) continue;  // the root is never inserted
-      lanes[slot] = {i, root, st.key_of(i), 0, 0, issued++};
+      lanes[slot] = {i, root, 0, 0, issued++};
       st.prefetch(root);
       return true;
     }
@@ -209,9 +188,13 @@ bool build_batch(TreeState<Key, Compare>& st, Stripe stripe, BuildTally& tally,
   // stripe's order aimed at the same empty slot.  The earlier element must
   // win the slot (as it would have sequentially), so the caller stalls this
   // lane for the round.  Any two in-flight competitors for one slot are
-  // necessarily at the same parent already — a descent step always moves
-  // exactly one level down, so the earlier element (started no later) can
-  // never be shallower.
+  // necessarily at the same parent already: on a shared path the earlier
+  // element is never shallower when the later one steps.  A later lane can
+  // pass a stalled earlier one within a round (it steps after the slot's
+  // winner installed), but only from a higher slot, and the earlier lane
+  // steps first in the next round.  So a retired lane's slot is closed up
+  // in order; swapping the last lane into it could let a lane that passed
+  // step before the lane it passed.
   const auto smaller_rival = [&](int l, const Lane& ln, Side side) {
     for (int k = 0; k < active; ++k) {
       if (k == l || lanes[k].pos >= ln.pos || lanes[k].parent != ln.parent) continue;
@@ -220,33 +203,10 @@ bool build_batch(TreeState<Key, Compare>& st, Stripe stripe, BuildTally& tally,
     return false;
   };
 
-  // When the key type qualifies AND the record array is cache-resident
-  // (simd_batch_descend), one round of sides is computed up front by the
-  // SIMD kernel; otherwise the step loop computes its side inline
-  // (descend_side — branch-free either way).  A retired slot inherits the
-  // side of the lane swapped into it (that lane has not stepped this
-  // round); a refilled slot recomputes scalar (refills happen once per
-  // element — off the per-step path).
-  constexpr bool kSimdOk = simd::kSimdDescend<Key, Compare>;
-  [[maybe_unused]] simd::DescendSidesFn descend = nullptr;
-  [[maybe_unused]] bool batch_sides = false;
-  if constexpr (kSimdOk) {
-    batch_sides = st.simd_batch_descend();
-    if (batch_sides) descend = simd::descend_fn();
-  }
-  [[maybe_unused]] Side sides[kBuildLanes];
   while (active > 0) {
-    if constexpr (kSimdOk) {
-      if (batch_sides) batch_descend_sides(st, descend, lanes, active, sides);
-    }
     for (int l = 0; l < active;) {
       Lane& ln = lanes[l];
-      Side side;
-      if constexpr (kSimdOk) {
-        side = batch_sides ? sides[l] : st.descend_side(ln.elem, ln.parent);
-      } else {
-        side = st.descend_side(ln.elem, ln.parent);
-      }
+      const Side side = st.descend_side(ln.elem, ln.parent);
       std::int64_t c = st.child_of(ln.parent, side);
       bool installed = false;
       if (c == kNoIdx) {
@@ -272,17 +232,9 @@ bool build_batch(TreeState<Key, Compare>& st, Stripe stripe, BuildTally& tally,
           }
           return false;
         }
-        if (refill(l)) {
-          if constexpr (kSimdOk) {
-            if (batch_sides) {
-              sides[l] = st.descend_side(lanes[l].elem, lanes[l].parent);
-            }
-          }
-        } else {
-          lanes[l] = lanes[--active];  // retire the lane
-          if constexpr (kSimdOk) {
-            if (batch_sides) sides[l] = sides[active];
-          }
+        if (!refill(l)) {  // retire the lane, keeping the others' order
+          std::copy(lanes + l + 1, lanes + active, lanes + l);
+          --active;
         }
         continue;  // the new occupant of slot l steps next
       }
@@ -338,7 +290,6 @@ bool build_lanes(TreeState<Key, Compare>& st, const std::int64_t* elems,
   struct Lane {
     std::int64_t elem;
     std::int64_t parent;
-    Key ekey;  // cached key of elem, gathered once at startup for the batch compare
     std::uint64_t iterations;
     std::uint32_t lost;  // lost install CASes (tallied; drives the backoff schedule)
   };
@@ -347,30 +298,14 @@ bool build_lanes(TreeState<Key, Compare>& st, const std::int64_t* elems,
   Lane lanes[kBuildLanes];
   int active = 0;
   for (int k = 0; k < count && active < kBuildLanes; ++k) {
-    lanes[active++] = {elems[k], parents[k], st.key_of(elems[k]), 0, 0};
+    lanes[active++] = {elems[k], parents[k], 0, 0};
     st.prefetch(parents[k]);
   }
 
-  constexpr bool kSimdOk = simd::kSimdDescend<Key, Compare>;
-  [[maybe_unused]] simd::DescendSidesFn descend = nullptr;
-  [[maybe_unused]] bool batch_sides = false;
-  if constexpr (kSimdOk) {
-    batch_sides = st.simd_batch_descend();
-    if (batch_sides) descend = simd::descend_fn();
-  }
-  [[maybe_unused]] Side sides[kBuildLanes];
   while (active > 0) {
-    if constexpr (kSimdOk) {
-      if (batch_sides) batch_descend_sides(st, descend, lanes, active, sides);
-    }
     for (int l = 0; l < active;) {
       Lane& ln = lanes[l];
-      Side side;
-      if constexpr (kSimdOk) {
-        side = batch_sides ? sides[l] : st.descend_side(ln.elem, ln.parent);
-      } else {
-        side = st.descend_side(ln.elem, ln.parent);
-      }
+      const Side side = st.descend_side(ln.elem, ln.parent);
       std::int64_t c = st.child_of(ln.parent, side);
       bool installed = false;
       if (c == kNoIdx) {
@@ -395,9 +330,6 @@ bool build_lanes(TreeState<Key, Compare>& st, const std::int64_t* elems,
           return false;
         }
         lanes[l] = lanes[--active];  // retire the lane
-        if constexpr (kSimdOk) {
-          if (batch_sides) sides[l] = sides[active];
-        }
         continue;
       }
       ln.parent = c;

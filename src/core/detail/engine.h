@@ -697,7 +697,7 @@ class Engine {
     // the range like a balanced tree, and every later stripe lands spread
     // across it.  The job index itself needs no bit reversal here (unlike
     // StripedJobs): LC-WAT claims are random already.  Elements descend the
-    // fat tree eight at a time with a pre-drawn copy plane and prefetch
+    // fat tree kBuildLanes at a time with a pre-drawn copy plane and prefetch
     // (fat_handoffs), then enter the pivot tree through build_lanes with
     // bounded CAS backoff.
     if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kLcInsert);
@@ -823,7 +823,7 @@ class Engine {
           --remaining;
           continue;
         }
-        node[k] = st_->less(elems[k], e) ? lc.fat.left(node[k]) : lc.fat.right(node[k]);
+        node[k] = lc.fat.left(node[k]) + st_->descend_side(elems[k], e);  // right = left + 1
         lc.fat.prefetch(node[k], copy[k]);
       }
     }

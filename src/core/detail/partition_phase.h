@@ -86,6 +86,7 @@
 #include "common/arena.h"
 #include "common/bits.h"
 #include "common/check.h"
+#include "core/detail/key_order.h"
 #include "core/detail/leaf_sort.h"
 #include "workalloc/wat.h"
 
@@ -222,15 +223,12 @@ struct PartitionLocal {
 };
 
 // Whether splitter `s` lies strictly below the item (key, idx) in the
-// (key, index) order.  Both comparisons always run and combine bitwise, so
-// the answer is a value, not a branch: a tree descent built on it has no
-// data-dependent jumps to mispredict.
+// (key, index) order, as a value (key_index_less has no branch), so the
+// splitter-tree descent built on it has no data-dependent jumps.
 template <typename Key, typename Compare>
 inline std::size_t splitter_below(const Compare& cmp, const LeafItem<Key>& s,
                                   const Key& key, std::int64_t idx) {
-  const bool l = cmp(s.key, key);
-  const bool g = cmp(key, s.key);
-  return static_cast<std::size_t>(l | (!g & (s.idx < idx)));
+  return static_cast<std::size_t>(key_index_less(cmp, s.key, s.idx, key, idx));
 }
 
 // Compute this worker's splitters (identical for every worker): gather the

@@ -30,6 +30,7 @@
 
 #include "common/arena.h"
 #include "common/check.h"
+#include "core/detail/key_order.h"
 
 namespace wfsort::detail {
 
@@ -101,36 +102,18 @@ struct TreeState {
     return nodes[static_cast<std::size_t>(node)].key;
   }
 
-  // Strict order with index tie-breaking (the paper's "use an element's
-  // index to break ties"), so all keys behave as if distinct.
+  // Strict order with index tie-breaking (key_index_less), so all keys
+  // behave as if distinct.
   bool less(std::int64_t a, std::int64_t b) const {
-    const Key& ka = key_of(a);
-    const Key& kb = key_of(b);
-    if (cmp(ka, kb)) return true;
-    if (cmp(kb, ka)) return false;
-    return a < b;
+    return key_index_less(cmp, key_of(a), a, key_of(b), b);
   }
 
-  // Which child of `p` the descent of element `e` continues into.  Written
-  // as an arithmetic use of the comparison result (not a select between two
-  // code paths) so the compiler lowers the child choice to setcc + indexed
-  // load — the descent's only unpredictable branch disappears into the
-  // child[] index.  e != p (an element never descends through itself).
+  // Which child of `p` the descent of element `e` continues into.  The
+  // comparison result is the child[] index, so the compiler lowers the
+  // choice to setcc + indexed load: a descent step has no unpredictable
+  // branch.  e != p (an element never descends through itself).
   Side descend_side(std::int64_t e, std::int64_t p) const {
     return static_cast<Side>(!less(e, p));
-  }
-
-  // True when the record array is small enough that batching one round of
-  // descent compares into a SIMD call pays.  The batched kernel touches all
-  // in-flight parent lines at one program point; when the records exceed
-  // the fast cache levels that clustering un-hides the line latency the
-  // round-robin interleave exists to overlap (measured on the bench host:
-  // ~3% win at 1 MiB of records, 15–20% loss at 64 MiB), so the batch is
-  // only used while the array fits comfortably in L2: up to 2^15 elements
-  // of 32-byte records.
-  bool simd_batch_descend() const {
-    return static_cast<std::size_t>(n()) * sizeof(PackedNode<Key>) <=
-           (std::size_t{1} << 20);
   }
 
   // Hint the hardware that `node`'s record is about to be visited.

@@ -16,7 +16,6 @@
 #include "common/arena.h"
 #include "common/bits.h"
 #include "common/rng.h"
-#include "common/simd.h"
 #include "core/detail/build_phase.h"
 #include "core/detail/engine.h"
 #include "core/detail/lc_phase.h"
@@ -294,21 +293,22 @@ TEST(TreeStateDetail, BuildBatchMatchesSequentialBuild) {
 }
 
 TEST(TreeStateDetail, BuildBatchSlotRaceGoesToEarlierStripePosition) {
-  // One stripe over 16 elements runs 0, 8, 4, 12, 2, 10, 6, 14, 1, 9, ...:
-  // the root (0) is skipped, so the eight lanes start on 8, 4, 12, 2, 10,
-  // 6, 14, 1.  Every key is above the root's, so all eight aim at the
-  // root's empty BIG slot in the first round: lane order decides nothing
-  // by itself, and 8 — first in the stripe, not the smallest index — must
-  // take it, as it does sequentially.  Lanes then refill with 9, 5, ...
-  // while older lanes (larger indices such as 12, 14) are still racing
-  // down the same path: an index-ordered stall would hand those slots to
-  // the wrong element.
-  std::vector<std::uint64_t> keys(16);
-  for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = 100 + (i * 7) % 16;
+  // One stripe over n = 2 * kBuildLanes elements runs in bit-reversed order,
+  // 0, n/2, n/4, 3n/4, ...: the root (0) is skipped, so the lanes start on
+  // the even indices that come next.  Every key is above the root's, so all
+  // of them aim at the root's empty BIG slot in the first round: lane order
+  // decides nothing by itself, and n/2 = kBuildLanes — first in the stripe,
+  // not the smallest index — must take it, as it does sequentially.  The
+  // odd indices then refill the lanes while older lanes (larger indices such
+  // as 3n/4) are still racing down the same path: an index-ordered stall
+  // would hand those slots to the wrong element.
+  using wfsort::detail::kBuildLanes;
+  std::vector<std::uint64_t> keys(2 * kBuildLanes);
+  for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = 100 + (i * 7) % keys.size();
   keys[0] = 0;
   const wfsort::StripedJobs one_stripe(keys.size(), keys.size());
   auto ref = build_striped_sequential(keys, one_stripe);
-  EXPECT_EQ(ref->child_of(0, kBig), 8);
+  EXPECT_EQ(ref->child_of(0, kBig), kBuildLanes);
   BuiltTree t = unbuilt(keys);
   wfsort::detail::BuildTally tally;
   ASSERT_TRUE(wfsort::detail::build_batch(*t.state, one_stripe.stripe(0), tally, kKeepGoing));
@@ -346,6 +346,41 @@ TEST(TreeStateDetail, BuildBatchOverStripedJobsMatchesSequentialBuild) {
                               " pattern=" + std::to_string(pattern));
       }
     }
+  }
+}
+
+// The same over random sizes, job counts and key patterns.  Stripes shorter
+// than kBuildLanes retire lanes while others still race, and a lane that
+// passed a stalled earlier one (stepping after the slot's winner) must not
+// step before it afterwards.  Swapping the last lane into a retired slot did
+// that: two of these draws built a different tree with 8 lanes, and about 4
+// in 1000 did with 16.
+TEST(TreeStateDetail, BuildBatchRandomStripesMatchSequentialBuild) {
+  wfsort::Rng rng(99);
+  int mismatches = 0;
+  for (int draw = 0; draw < 4000 && mismatches < 3; ++draw) {
+    const std::size_t n = 2 + rng.below(600);
+    const std::uint64_t batch = 1 + rng.below(128);
+    const auto pattern = rng.below(4);
+    std::vector<std::uint64_t> keys(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      keys[i] = pattern == 0 ? i : pattern == 1 ? n - i : rng.below(pattern == 2 ? 4 : n / 2 + 1);
+    }
+    const wfsort::StripedJobs jobs(n, batch);
+    auto ref = build_striped_sequential(keys, jobs);
+    BuiltTree t = unbuilt(keys);
+    wfsort::detail::BuildTally tally;
+    for (std::uint64_t j = 0; j < jobs.jobs; ++j) {
+      ASSERT_TRUE(wfsort::detail::build_batch(*t.state, jobs.stripe(j), tally, kKeepGoing));
+    }
+    bool same = true;
+    for (std::int64_t i = 0; i < t->n(); ++i) {
+      same &= t->child_of(i, kSmall) == ref->child_of(i, kSmall) &&
+              t->child_of(i, kBig) == ref->child_of(i, kBig);
+    }
+    EXPECT_TRUE(same) << "draw=" << draw << " n=" << n << " batch=" << batch
+                      << " pattern=" << pattern;
+    mismatches += same ? 0 : 1;
   }
 }
 
@@ -593,46 +628,77 @@ TEST(LeafSort, AdversarialMedian3KillerStaysCorrect) {
   EXPECT_GE(t2.heapsorts, 1u);
 }
 
-// ---- SIMD descent -------------------------------------------------------
+// ---- the (key, index) order ---------------------------------------------
 
-TEST(SimdDescend, DispatchedMatchesScalarBitExactly) {
-  namespace simd = wfsort::simd;
-  // Hand-picked lanes covering every compare outcome, including the 32-bit
-  // boundary cases the SSE2 64-bit synthesis gets wrong if the hi/lo
-  // combination is off, plus key-equal index tie-breaks both ways.
-  const std::uint64_t ek[] = {5, 9, 7, 7, 0x1'00000000ULL, 0xFFFFFFFFULL,
-                              ~0ULL, 0};
-  const std::uint64_t pk[] = {9, 5, 7, 7, 0xFFFFFFFFULL, 0x1'00000000ULL,
-                              0, ~0ULL};
-  const std::int64_t ei[] = {0, 1, 2, 9, 4, 5, 6, 7};
-  const std::int64_t pi[] = {1, 0, 9, 2, 5, 4, 7, 6};
-  for (std::size_t count = 1; count <= 8; ++count) {
-    std::uint8_t scalar[8] = {}, dispatched[8] = {};
-    simd::descend_sides_u64_scalar(ek, ei, pk, pi, count, scalar);
-    simd::descend_sides_u64(ek, ei, pk, pi, count, dispatched);
-    for (std::size_t k = 0; k < count; ++k) {
-      EXPECT_EQ(dispatched[k], scalar[k])
-          << simd::isa_name(simd::active_isa()) << " count=" << count
-          << " lane=" << k;
+// The branchy form the (key, index) order is defined by.
+template <typename Key, typename Compare>
+bool reference_less(const Compare& cmp, const Key& ka, std::int64_t ia, const Key& kb,
+                    std::int64_t ib) {
+  return cmp(ka, kb) || (!cmp(kb, ka) && ia < ib);
+}
+
+// Every spelling of the order (TreeState::less, descend_side, LeafItemLess,
+// splitter_below) agrees with the reference on every ordered
+// pair of distinct indices over `keys`.
+template <typename Key, typename Compare>
+void expect_order_matches_reference(const std::vector<Key>& keys, Compare cmp,
+                                    const std::string& what) {
+  using wfsort::detail::LeafItem;
+  wfsort::RunArena arena;
+  const wfsort::detail::TreeState<Key, Compare> st(std::span<const Key>(keys), cmp, arena);
+  const wfsort::detail::LeafItemLess<Key, Compare> item_less{cmp};
+  const auto n = static_cast<std::int64_t>(keys.size());
+  for (std::int64_t a = 0; a < n; ++a) {
+    for (std::int64_t b = 0; b < n; ++b) {
+      if (a == b) continue;  // a descent never compares an element with itself
+      const Key& ka = keys[static_cast<std::size_t>(a)];
+      const Key& kb = keys[static_cast<std::size_t>(b)];
+      const bool ref = reference_less(cmp, ka, a, kb, b);
+      const auto side = ref ? kSmall : kBig;
+      const std::string at = what + " a=" + std::to_string(a) + " b=" + std::to_string(b);
+      EXPECT_EQ(st.less(a, b), ref) << at;
+      EXPECT_EQ(st.descend_side(a, b), side) << at;
+      EXPECT_EQ(item_less(LeafItem<Key>{ka, a}, LeafItem<Key>{kb, b}), ref) << at;
+      EXPECT_EQ(wfsort::detail::splitter_below(cmp, LeafItem<Key>{ka, a}, kb, b),
+                ref ? 1u : 0u)
+          << at;
     }
   }
-  // And a randomized sweep with frequent equal keys.
+}
+
+struct Key16 {
+  std::uint64_t hi;
+  std::uint64_t lo;
+};
+struct Key16Less {
+  bool operator()(const Key16& a, const Key16& b) const {
+    return a.hi < b.hi || (a.hi == b.hi && a.lo < b.lo);
+  }
+};
+
+TEST(TreeStateDetail, DescendOrderMatchesReference) {
+  // Equal keys at low and high indices (ties broken both ways), 0 and
+  // UINT64_MAX, and the 32-bit boundary keys a compare built from 32-bit
+  // halves gets wrong if it combines them badly.
+  const std::vector<std::uint64_t> edges{5,           9,           7, 7, 0x1'00000000ULL,
+                                         0xFFFFFFFFULL, ~0ULL,     0, 7, ~0ULL,
+                                         0,           0xFFFFFFFFULL};
+  expect_order_matches_reference(edges, std::less<std::uint64_t>{}, "edges less");
+  expect_order_matches_reference(edges, std::greater<std::uint64_t>{}, "edges greater");
+  // A 16-byte key whose order is decided by the low word as well as the high.
+  const std::vector<Key16> wide{{1, 2}, {1, 2}, {0, ~0ULL}, {1, 1},
+                                {~0ULL, 0}, {1, 2}, {0, ~0ULL}, {0, 0}};
+  expect_order_matches_reference(wide, Key16Less{}, "16-byte");
+  // Random rounds with frequent equal keys.
   wfsort::Rng rng(123);
   for (int round = 0; round < 500; ++round) {
-    std::uint64_t rek[8], rpk[8];
-    std::int64_t rei[8], rpi[8];
-    for (int k = 0; k < 8; ++k) {
-      rek[k] = rng.next() % 4;
-      rpk[k] = rng.next() % 4;
-      rei[k] = static_cast<std::int64_t>(rng.next() % 100);
-      rpi[k] = static_cast<std::int64_t>(rng.next() % 100);
-      if (rpi[k] == rei[k]) ++rpi[k];  // descent never compares e with itself
-    }
-    std::uint8_t scalar[8] = {}, dispatched[8] = {};
-    simd::descend_sides_u64_scalar(rek, rei, rpk, rpi, 8, scalar);
-    simd::descend_sides_u64(rek, rei, rpk, rpi, 8, dispatched);
-    for (int k = 0; k < 8; ++k) {
-      EXPECT_EQ(dispatched[k], scalar[k]) << "round=" << round << " lane=" << k;
+    std::vector<std::uint64_t> keys(8);
+    for (auto& k : keys) k = rng.next() % 4;
+    const std::string what = "round=" + std::to_string(round);
+    if (round % 2 == 0) {
+      expect_order_matches_reference(keys, std::less<std::uint64_t>{}, what);
+    } else {
+      expect_order_matches_reference(keys, std::greater<std::uint64_t>{}, what);
     }
   }
 }
