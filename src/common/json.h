@@ -78,8 +78,7 @@ class Json {
   // Two-space-indented, trailing newline; stable field order.
   std::string dump(int indent = 0) const;
 
-  // Single-line serialization (no whitespace, no trailing newline) — the
-  // JSONL record form the live monitor and the bench history append.
+  // Single-line serialization (no whitespace, no trailing newline).
   std::string dump_compact() const;
 
   // Parse a whole document.  Returns a null value and sets *error on failure

@@ -14,11 +14,11 @@
 //     det-partition;
 //   * the pivot tree lives in packed per-node records (TreeState), one
 //     cache line per visit instead of four parallel arrays;
-//   * phase-1 work is claimed as stripes of at most Options::wat_batch
+//   * phase-1 work is claimed as stripes of at most Tuning::wat_batch
 //     elements per WAT traversal (the paper's K), inserted in bit-reversed
 //     order (StripedJobs) with interleaved, prefetched descents
 //     (build_batch);
-//   * phase-3 subtrees at or below Options::seq_cutoff are emitted by one
+//   * phase-3 subtrees at or below Tuning::seq_cutoff are emitted by one
 //     sequential in-order walk (place_block);
 //   * per-element statistics accumulate in per-worker tallies, written once
 //     per phase into the worker's own telemetry scratch; SortStats is read
@@ -82,6 +82,47 @@ inline Rng worker_stage_rng(std::uint64_t seed, std::uint32_t tid, LcRngStage st
 // pre-sorting and no contention worth spreading.
 inline constexpr std::uint64_t kLcMinN = 64;
 
+// The engine's tuning constants: measured defaults (docs/native_engine.md,
+// "detail::Tuning"), not caller choices, so no public entry point takes
+// them.  Tests reach them through detail::sort_run's trailing parameter.
+struct Tuning {
+  // Phase-1 job batching, the paper's K in Lemma 2.7 (O(N/P (log N + K))
+  // work allocation): each WAT leaf hands out a stripe of at most this many
+  // elements (indices s, s+J, s+2J, ... for J = next_pow2(ceil(N / K))
+  // jobs), so one WAT traversal is amortized over the stripe and its
+  // descents are interleaved with prefetching (build_batch).  1 = one element
+  // per WAT traversal.  Must be at least 1.
+  std::uint64_t wat_batch = 32;
+
+  // Phase-3 sequential cutoff: a subtree of at most this many elements is
+  // placed and emitted by one local in-order walk (streaming writes, no
+  // per-node frames or completion flags) by whichever worker reaches it
+  // first; the block's completion flag is published only after the walk, so
+  // duplicated or crashed walkers are harmless and nobody waits (the walk is
+  // idempotent).  0 disables.
+  std::uint64_t seq_cutoff = 128;
+
+  // Low-contention variant: node budget for one randomized summation /
+  // placement probe.  A probe that lands on actionable work expands it into
+  // a bounded local tree walk of at most this many node visits instead of
+  // returning to uniform probing after a single node; the walk stays
+  // idempotent and every visit still polls the fault checkpoint, so
+  // wait-freedom is untouched.  1 = the paper's literal one-node probes.
+  std::uint32_t lc_burst = 64;
+
+  // Low-contention variant: bounded exponential backoff on a lost install
+  // CAS during stage-E insertion.  A descent that loses its k-th CAS spins
+  // min(2^k, 2^backoff_limit) pause iterations before re-probing, keeping
+  // repeat losers off the contended line.  0 disables (the deterministic
+  // variant never backs off: its loss rate is the measurement).
+  std::uint32_t backoff_limit = 6;
+
+  // Low-contention variant: duplicates per fat-tree node, 0 = automatic
+  // (max(2, isqrt(threads))).  More copies divide top-level read pressure
+  // further at the cost of more write-most traffic.
+  std::uint32_t lc_copies = 0;
+};
+
 // Output copy-back is chunked so finished workers can share it; the
 // per-chunk done flags make finalize()'s sweep exact.
 inline constexpr std::uint64_t kCopyChunk = 8192;
@@ -140,18 +181,20 @@ class Engine {
   // phases shape their shared state (WAT start leaves, LC groups, fat-tree
   // quotas) by the nominal thread count whatever the width, so the output
   // does not depend on it.
+  //
+  // `tuning` holds the engine's constants; only tests pass other values.
   Engine(std::span<Key> data, Compare cmp, const Options& opts,
          bool assemble_into_data = true, RunArena* arena = nullptr,
          telemetry::Recorder* recorder = nullptr, bool want_stats = false,
-         std::uint32_t workers = 0)
+         std::uint32_t workers = 0, const Tuning& tuning = {})
       : data_(data),
         cmp_(cmp),
         opts_(opts),
+        tuning_(tuning),
         nominal_threads_(opts.resolved_threads()),
-        wat_batch_(std::max<std::uint64_t>(1, opts.wat_batch)),
-        seq_cutoff_(opts.seq_cutoff),
         copy_back_(assemble_into_data),
         arena_(arena != nullptr ? arena : &own_arena_) {
+    WFSORT_CHECK(tuning_.wat_batch >= 1);
     effective_variant_ = opts.variant;
     if (effective_variant_ == Variant::kLowContention && data.size() < kLcMinN) {
       effective_variant_ = Variant::kDeterministic;
@@ -170,7 +213,7 @@ class Engine {
         if (effective_variant_ == Variant::kLowContention) {
           init_lc();
         } else {
-          wat_ = arena_->create<Wat>(StripedJobs(data_.size(), wat_batch_).jobs,
+          wat_ = arena_->create<Wat>(StripedJobs(data_.size(), tuning_.wat_batch).jobs,
                                      *arena_);
         }
       }
@@ -279,9 +322,7 @@ class Engine {
     return report_;
   }
 
-  // The run's recorder, for observers that sample the flight-recorder rings
-  // while workers are live (telemetry::Monitor).  Null when the run records
-  // nothing (recording_for).
+  // The run's recorder.  Null when the run records nothing (recording_for).
   const telemetry::Recorder* recorder() const { return recorder_; }
 
   // The run's statistics.  Every counter comes from the telemetry Report,
@@ -407,11 +448,11 @@ class Engine {
     const std::uint32_t groups = static_cast<std::uint32_t>(std::min<std::uint64_t>(
         std::max<std::uint32_t>(1, isqrt(nominal_threads_)), n / slice));
     const std::uint32_t copies =
-        opts_.lc_copies != 0 ? opts_.lc_copies
+        tuning_.lc_copies != 0 ? tuning_.lc_copies
                              : std::max<std::uint32_t>(2, isqrt(nominal_threads_));
     RunArena& arena = *arena_;
     lc_ = arena.create<LcShared>(levels, slice, groups, nominal_threads_, copies,
-                                 n, batch_jobs(n, wat_batch_), arena);
+                                 n, batch_jobs(n, tuning_.wat_batch), arena);
     lc_->group_states = static_cast<TreeState<Key, Compare>*>(
         arena.raw(sizeof(TreeState<Key, Compare>) * groups));
     lc_->group_wats = static_cast<Wat*>(arena.raw(sizeof(Wat) * groups));
@@ -420,7 +461,7 @@ class Engine {
       ::new (static_cast<void*>(lc_->group_states + g))
           TreeState<Key, Compare>(keys, cmp_, arena);
       ::new (static_cast<void*>(lc_->group_wats + g))
-          Wat(StripedJobs(slice, wat_batch_).jobs, arena);
+          Wat(StripedJobs(slice, tuning_.wat_batch).jobs, arena);
       ++lc_->constructed;
     }
     // One sorted-order buffer per worker id the run can legally use
@@ -508,7 +549,7 @@ class Engine {
     constexpr bool kTel = telemetry::kTelEnabled<Tel>;
     const auto chk = [plan, tid] { return plan == nullptr || plan->checkpoint(tid); };
     TreeState<Key, Compare>& st = *st_;
-    const StripedJobs jobs(data_.size(), wat_batch_);
+    const StripedJobs jobs(data_.size(), tuning_.wat_batch);
 
     if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kBuild);
     // Phase 1: WAT-allocated tree building, one bit-reversed stripe per
@@ -524,7 +565,7 @@ class Engine {
     if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kSum);
     if (!tree_sum(st, tid, chk)) return false;
     if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kPlace);
-    return find_place_emit(st, tid, seq_cutoff_, chk, tel);
+    return find_place_emit(st, tid, tuning_.seq_cutoff, chk, tel);
   }
 
   // --- deterministic variant with the blocked-partition phase 1 ---
@@ -606,13 +647,13 @@ class Engine {
     const std::uint32_t group_workers =
         std::max<std::uint32_t>(1, nominal_threads_ / lc.groups);
     TreeState<Key, Compare>& gst = lc.group_states[group];
-    const StripedJobs group_jobs(lc.slice_len, wat_batch_);
+    const StripedJobs group_jobs(lc.slice_len, tuning_.wat_batch);
     const bool presorted =
         drive(lc.group_wats[group], tid / lc.groups, group_workers, chk, tel,
               [&](std::uint64_t j) {
                 return build_batch(gst, group_jobs.stripe(j), tally, chk, tel);
               }) &&
-        tree_sum(gst, tid, chk) && find_place_emit(gst, tid, seq_cutoff_, chk, tel);
+        tree_sum(gst, tid, chk) && find_place_emit(gst, tid, tuning_.seq_cutoff, chk, tel);
     tally.max_depth = 0;  // a group tree's depth is not the pivot tree's
     if (!presorted) {
       flush_build(tally, tel);
@@ -730,7 +771,7 @@ class Engine {
         fat_handoffs(elems, cnt, sorted_idx, rng_insert, fat_misses, fat_reads,
                      parents);
         build_lanes(st, elems, parents, cnt, /*start_depth=*/lc.levels,
-                    opts_.backoff_limit, tally, no_abort, tel);
+                    tuning_.backoff_limit, tally, no_abort, tel);
         cnt = 0;
       };
       Stripe stripe(j, lc.insert_wat.jobs(), data_.size());
@@ -779,13 +820,13 @@ class Engine {
     if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kSum);
     Rng rng_sum = worker_stage_rng(opts_.seed, tid, LcRngStage::kSum);
     const bool sum_ok =
-        lc_tree_sum(st, lc.sum_marks, rng_sum, opts_.lc_burst, probe_tally, chk);
+        lc_tree_sum(st, lc.sum_marks, rng_sum, tuning_.lc_burst, probe_tally, chk);
     flush_probes();
     if (!sum_ok) return false;
     if constexpr (kTel) tel->begin_phase(telemetry::PhaseId::kPlace);
     Rng rng_place = worker_stage_rng(opts_.seed, tid, LcRngStage::kPlace);
     const bool place_ok = lc_find_place_emit(st, lc.place_marks, rng_place,
-                                             opts_.lc_burst, probe_tally, chk);
+                                             tuning_.lc_burst, probe_tally, chk);
     flush_probes();
     return place_ok;
   }
@@ -832,10 +873,9 @@ class Engine {
   std::span<Key> data_;
   Compare cmp_;
   Options opts_;
+  Tuning tuning_;
   Variant effective_variant_;
   std::uint32_t nominal_threads_;
-  std::uint64_t wat_batch_;
-  std::uint64_t seq_cutoff_;
   bool copy_back_;
   // The run's storage substrate (declared before every structure that
   // borrows from it; destroyed after them).  arena_ points at own_arena_

@@ -19,7 +19,7 @@
 // LC-WAT ones and equally bounded:
 //
 //   * Probe bursts: a probe that lands on actionable work expands it into a
-//     bounded local walk of at most Options::lc_burst node visits (an
+//     bounded local walk of at most Tuning::lc_burst node visits (an
 //     explicit-stack DFS — post-order for summation, place-down/mark-up for
 //     placement) instead of returning to uniform probing after one node.
 //     The literal paper algorithm processes one node per probe and pays a

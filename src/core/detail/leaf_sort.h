@@ -1,6 +1,6 @@
 // Fast sequential sort for phase-3 leaf blocks (and partition buckets).
 //
-// Below Options::seq_cutoff the engine stops paying pointer-chasing prices:
+// Below Tuning::seq_cutoff the engine stops paying pointer-chasing prices:
 // instead of walking the subtree in order (one dependent cache miss per
 // node), it gathers the subtree's (key, index) pairs into scratch, sorts
 // them with the introsort-style routine in this header, and emits the ranks

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <thread>
 
 #include "telemetry/recorder.h"
@@ -32,10 +31,11 @@ enum class Variant {
 // kTree is the paper's CAS pivot-tree insertion: optimal own-step bound,
 // but every element pays a root-to-leaf pointer chase with a CAS at the
 // end — the dominant cost of the sequential gap vs std::sort.  Each WAT job
-// inserts a bit-reversed stripe of at most wat_batch elements spread over
-// the whole input (not a run of adjacent indices), so sorted, reversed,
-// organ-pipe and few-distinct inputs build a tree of depth ~log2 N rather
-// than an N-deep chain; the order is a fixed function of (N, wat_batch).
+// inserts a bit-reversed stripe of at most detail::Tuning::wat_batch
+// elements spread over the whole input (not a run of adjacent indices), so
+// sorted, reversed, organ-pipe and few-distinct inputs build a tree of depth
+// ~log2 N rather than an N-deep chain; the order is a fixed function of
+// (N, wat_batch).
 //
 // kPartition replaces the tree with a blocked in-place parallel partition
 // (Kuszmaul–Westover style blocks against SPMS-style sampled splitters):
@@ -46,10 +46,13 @@ enum class Variant {
 // on the batched WAT for all three passes, so the 14·N·log2(N) own-step
 // certificate holds on this variant too (test_waitfree_cert), and the
 // output order (key, then index) is identical to kTree's.  The
-// low-contention variant ignores this knob.  docs/native_engine.md
+// low-contention variant ignores this setting.  docs/native_engine.md
 // "Closing the gap" has the diagram and measurements.
 enum class Phase1 { kTree, kPartition };
 
+// What a caller chooses.  The engine's tuning constants (the paper's batch
+// K, the phase-3 cutoff, section 3's probe budget) are constants of the
+// analysis, not caller decisions: they live in detail::Tuning (engine.h).
 struct Options {
   // Workers of a run, 0 = std::thread::hardware_concurrency().  The caller
   // is worker 0; the others get threads of their own (SortPool: its parked
@@ -59,43 +62,6 @@ struct Options {
   Variant variant = Variant::kDeterministic;
   Phase1 phase1 = Phase1::kTree;
   std::uint64_t seed = 0x50535a97ULL;  // randomized-variant randomness
-
-  // Low-contention variant: duplicates per fat-tree node (0 = automatic,
-  // ~sqrt(threads)).  More copies divide top-level read pressure further at
-  // the cost of more write-most traffic.
-  std::uint32_t lc_copies = 0;
-
-  // Phase-1 job batching — the paper's K in Lemma 2.7 (O(N/P (log N + K))
-  // work allocation): each WAT leaf hands out a stripe of at most this many
-  // elements (indices s, s+J, s+2J, ... for J = next_pow2(ceil(N / K))
-  // jobs), so one WAT traversal is amortized over the stripe and its
-  // descents are interleaved with prefetching (build_batch).  1 = one element
-  // per WAT traversal.  Default measured on the tracked bench host
-  // (docs/native_engine.md).
-  std::uint32_t wat_batch = 32;
-
-  // Phase-3 sequential cutoff: a subtree of at most this many elements is
-  // placed and emitted by one local in-order walk (streaming writes, no
-  // per-node frames or completion flags) by whichever worker reaches it
-  // first; the block's completion flag is published only after the walk, so
-  // duplicated or crashed walkers are harmless and nobody waits (the walk is
-  // idempotent).  0 disables.  Default measured (docs/native_engine.md).
-  std::uint64_t seq_cutoff = 128;
-
-  // Low-contention variant: node budget for one randomized summation /
-  // placement probe.  A probe that lands on actionable work expands it into
-  // a bounded local tree walk of at most this many node visits instead of
-  // returning to uniform probing after a single node — the walk stays
-  // idempotent and every visit still polls the fault checkpoint, so
-  // wait-freedom is untouched.  1 = the paper's literal one-node probes.
-  std::uint32_t lc_burst = 64;
-
-  // Low-contention variant: bounded exponential backoff on a lost install
-  // CAS during stage-E insertion.  A descent that loses its k-th CAS spins
-  // min(2^k, 2^backoff_limit) pause iterations before re-probing, keeping
-  // repeat losers off the contended line.  0 disables (the deterministic
-  // variant never backs off: its loss rate is the measurement).
-  std::uint32_t backoff_limit = 6;
 
   // Observability (docs/observability.md).  kOff — the default — records
   // nothing unless the caller asks for SortStats, which are read off a
@@ -110,15 +76,6 @@ struct Options {
   // telemetry != kOff — a kOff run has no rings, even when it records for
   // SortStats.  0 disables the rings while keeping spans/counters.
   std::uint32_t ring_capacity = telemetry::Recorder::kDefaultRingCapacity;
-
-  // Live monitor (docs/observability.md): when `monitor_interval_ms` > 0 and
-  // `monitor_path` is non-empty, the sort runs a sampler thread that reads
-  // the flight-recorder rings every interval and appends one
-  // "wfsort-monitor-v1" JSONL session to the file.  The sampler only ever
-  // touches the rings' seqlock snapshots — workers never block on it.
-  // Requires telemetry != kOff.
-  std::uint32_t monitor_interval_ms = 0;
-  std::string monitor_path{};
 
   std::uint32_t resolved_threads() const {
     if (threads != 0) return threads;

@@ -13,10 +13,8 @@
 // the SortSession API in session.h) demonstrates exactly that.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <span>
 #include <thread>
 #include <vector>
@@ -25,7 +23,6 @@
 #include "core/detail/engine.h"
 #include "core/options.h"
 #include "runtime/fault_plan.h"
-#include "telemetry/monitor.h"
 #include "telemetry/recorder.h"
 
 namespace wfsort {
@@ -77,28 +74,6 @@ void run_workers(Engine<T, Compare>& engine, std::uint32_t width, Plan plan = nu
   engine.run_worker(0, plan);
 }
 
-// Build and start the run's live monitor over the engine's Recorder.
-// Returns null — and the sort runs exactly as before — when there is no
-// Recorder (N <= 1) or the sink cannot be opened.
-inline std::unique_ptr<telemetry::Monitor> start_monitor(
-    const telemetry::Recorder* rec, const Options& opts, std::uint64_t n) {
-  if (rec == nullptr) return nullptr;
-  telemetry::Monitor::Config cfg;
-  cfg.path = opts.monitor_path;
-  cfg.interval_ms = opts.monitor_interval_ms;
-  cfg.source = "native";
-  cfg.config.set("variant",
-                 opts.variant == Variant::kLowContention ? "lc" : "det");
-  cfg.config.set("n", static_cast<std::int64_t>(n));
-  cfg.config.set("threads", static_cast<std::int64_t>(opts.resolved_threads()));
-  cfg.config.set("seed", static_cast<std::int64_t>(opts.seed));
-  cfg.config.set("ring_capacity", static_cast<std::int64_t>(opts.ring_capacity));
-  auto mon = std::make_unique<telemetry::Monitor>(rec, std::move(cfg));
-  if (!mon->ok()) return nullptr;
-  mon->start();
-  return mon;
-}
-
 // The one run of every blocking entry point (sort, sort_with_faults and
 // sort_permutation here, SortPool's two in pool.h): take the run's width from
 // run_width, build the engine over `arena` and `rec` (null: the engine makes
@@ -107,24 +82,17 @@ inline std::unique_ptr<telemetry::Monitor> start_monitor(
 // if some worker completed.  `plan` is a runtime::FaultPlan* (a faulted run)
 // or nullptr; `assemble_into_data` is false only for sort_permutation, whose
 // input stays untouched.  `stats`, if given, is filled from the run's Report
-// after the join.  Returns whether some worker completed.
+// after the join.  Returns whether some worker completed.  `tuning` goes to
+// the Engine: the public entry points leave it at its defaults, and only
+// tests pass other values.
 template <typename T, typename Compare, typename Plan, typename Drive>
 bool sort_run(std::span<T> data, const Options& opts, SortStats* stats, Compare cmp,
               Plan plan, bool assemble_into_data, RunArena* arena,
-              telemetry::Recorder* rec, Drive drive) {
+              telemetry::Recorder* rec, Drive drive, const Tuning& tuning = {}) {
   const std::uint32_t width =
       run_width(data.size(), opts.resolved_threads(), plan != nullptr);
-  // A live monitor needs telemetry on (so the engine holds a Recorder), a
-  // sink path and a sampling interval; every other run skips the clock read
-  // and the monitor plumbing entirely.
-  const bool monitored = opts.telemetry != telemetry::Level::kOff &&
-                         opts.monitor_interval_ms != 0 && !opts.monitor_path.empty();
-  const auto t_start = monitored ? std::chrono::steady_clock::now()
-                                 : std::chrono::steady_clock::time_point{};
   Engine<T, Compare> engine(data, cmp, opts, assemble_into_data, arena, rec,
-                            /*want_stats=*/stats != nullptr, width);
-  auto monitor =
-      monitored ? start_monitor(engine.recorder(), opts, data.size()) : nullptr;
+                            /*want_stats=*/stats != nullptr, width, tuning);
   drive(engine, width);
   const bool ok = engine.result_ready();
   if (ok) {
@@ -133,12 +101,6 @@ bool sort_run(std::span<T> data, const Options& opts, SortStats* stats, Compare 
     // No finalize on failure, but the partial telemetry timeline (truncated
     // spans of the crashed workers) is still wanted by the fault tooling.
     engine.snapshot_telemetry();
-  }
-  if (monitor != nullptr) {
-    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-        std::chrono::steady_clock::now() - t_start);
-    monitor->note_job(static_cast<std::uint64_t>(us.count()));
-    monitor->stop();
   }
   if (stats != nullptr) *stats = engine.stats();
   return ok;

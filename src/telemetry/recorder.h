@@ -38,10 +38,8 @@ inline constexpr bool kTelEnabled =
 
 // One worker's private recording area.  `detail` mirrors Level::kFull so
 // per-element sites can skip histogram work at Level::kPhases without
-// consulting the Recorder.  The flight-recorder `ring` is the one exception
-// to "nobody else touches a live slot": it is written only by the owning
-// worker and read concurrently by observers (the live monitor) through the
-// ring's seqlock snapshot — never through this struct's plain fields.
+// consulting the Recorder.  The flight-recorder `ring` is written only by the
+// owning worker and read through the ring's seqlock snapshot (ring.h).
 struct alignas(64) WorkerScratch {
   WorkerReport rep;
   FlightRing ring;
@@ -166,14 +164,6 @@ class Recorder {
   }
 
   std::uint64_t now_us() const;
-
-  // Observer access while the run is live: the flight-recorder rings are
-  // the ONLY slot state safe to read concurrently (seqlock snapshots; see
-  // ring.h).  The live monitor samples through these.
-  std::uint32_t slot_count() const { return slot_count_; }
-  const FlightRing* ring(std::uint32_t tid) const {
-    return tid < slot_count_ ? &slots_[tid].ring : nullptr;
-  }
 
   // Aggregate every active slot into an immutable Report.  Call only after
   // the workers have joined (slots are unsynchronized by design).

@@ -1,10 +1,10 @@
 // The flight recorder's wait-free event ring — the one ring implementation
 // used repo-wide (per-worker native flight recorders, the PRAM RingTracer,
-// the live monitor's feed).
+// the post-mortem rings of fault scenarios).
 //
-// Concurrency contract (docs/observability.md "Live monitoring & flight
-// recorder"): exactly ONE writer per ring — the owning worker — and any
-// number of concurrent observers.  The writer stores the event's words with
+// Concurrency contract (docs/observability.md "Flight recorder"): exactly
+// ONE writer per ring — the owning worker — and any number of concurrent
+// observers.  The writer stores the event's words with
 // relaxed atomics and then publishes by a release store of the sequence
 // counter; it never reads observer state, never loops, never waits — a push
 // is a fixed number of its own stores, so instrumenting a wait-free worker
@@ -187,7 +187,6 @@ enum class FlightKind : std::uint8_t {
   kLeafBlock,       // a8 = 0 won / 1 lost, a32 = block len, value = node
   kFault,           // a8 = FaultCode, value = kill/suspend round or step
   kSimOp,           // a8 = pram OpKind, a32 = pid, value = address
-  kSimRound,        // a32 = ops served this round
   kKindCount
 };
 

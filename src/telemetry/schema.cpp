@@ -17,9 +17,9 @@ const char* phase1_name(Phase1 phase1) {
   return "?";
 }
 
-// Shared provenance check for stats documents and monitor headers.  A
-// missing build_type (pre-provenance documents) is tolerated
-// unless the caller demands a release build.
+// Provenance check of a stats document.  A missing build_type
+// (pre-provenance documents) is tolerated unless the caller demands a
+// release build.
 bool check_build_type(const Json& doc, bool require_release,
                       std::string* error) {
   const Json* bt = doc.find("build_type");
@@ -99,9 +99,6 @@ NativeRunInfo native_run_info(const Options& opts, std::uint64_t n) {
   info.n = n;
   info.threads = opts.resolved_threads();
   info.seed = opts.seed;
-  info.wat_batch = opts.wat_batch;
-  info.seq_cutoff = opts.seq_cutoff;
-  info.lc_copies = opts.lc_copies;
   info.phase1 = phase1_name(opts.phase1);
   info.level = opts.telemetry;
   return info;
@@ -159,9 +156,6 @@ Json native_stats_json(const NativeRunInfo& info, const SortStats& stats) {
   config.set("n", info.n);
   config.set("threads", static_cast<std::uint64_t>(info.threads));
   config.set("seed", info.seed);
-  config.set("wat_batch", static_cast<std::uint64_t>(info.wat_batch));
-  config.set("seq_cutoff", info.seq_cutoff);
-  config.set("lc_copies", static_cast<std::uint64_t>(info.lc_copies));
   config.set("phase1", info.phase1);
   config.set("telemetry",
              level_name(rep != nullptr ? rep->level : info.level));
@@ -442,88 +436,6 @@ const char* build_type_name() {
 #else
   return "debug";
 #endif
-}
-
-bool validate_monitor_jsonl(const std::string& text, std::string* error,
-                            bool require_release) {
-  error->clear();
-  bool in_session = false;
-  std::size_t headers = 0;
-  std::size_t samples = 0;
-  std::size_t lineno = 0;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t nl = text.find('\n', pos);
-    const std::string line = text.substr(
-        pos, nl == std::string::npos ? std::string::npos : nl - pos);
-    pos = nl == std::string::npos ? text.size() + 1 : nl + 1;
-    ++lineno;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-
-    std::string perr;
-    const Json rec = Json::parse(line, &perr);
-    if (!perr.empty()) {
-      *error = "line " + std::to_string(lineno) + ": " + perr;
-      return false;
-    }
-    const auto fail = [&](const std::string& why) {
-      *error = "line " + std::to_string(lineno) + ": " + why;
-      return false;
-    };
-    if (rec.type() != Json::Type::kObject) return fail("record is not an object");
-    if (!check_key(rec, "schema", Json::Type::kString, error) ||
-        !check_key(rec, "record", Json::Type::kString, error)) {
-      return fail(*error);
-    }
-    if (rec.at("schema").as_string() != kMonitorSchema) {
-      return fail("unexpected schema: " + rec.at("schema").as_string());
-    }
-    const std::string& kind = rec.at("record").as_string();
-    if (kind == "header") {
-      // Provenance is per header, exactly like the stats documents — and a
-      // monitor file without it is rejected outright under require_release.
-      if (!check_build_type(rec, require_release, error)) return fail(*error);
-      if (rec.find("build_type") == nullptr) {
-        return fail("missing key: build_type (monitor provenance)");
-      }
-      if (!check_key(rec, "source", Json::Type::kString, error) ||
-          !check_key(rec, "interval_ms", Json::Type::kInt, error) ||
-          !check_key(rec, "config", Json::Type::kObject, error)) {
-        return fail(*error);
-      }
-      in_session = true;
-      ++headers;
-    } else if (kind == "sample") {
-      if (!in_session) return fail("sample record before any header");
-      for (const char* key : {"seq", "t_ms", "events", "dropped",
-                              "workers_active"}) {
-        if (!check_key(rec, key, Json::Type::kInt, error)) return fail(*error);
-      }
-      if (!check_key(rec, "counters", Json::Type::kObject, error) ||
-          !check_key(rec, "phases", Json::Type::kObject, error)) {
-        return fail(*error);
-      }
-      for (const auto& [name, ph] : rec.at("phases").object_items()) {
-        if (ph.type() != Json::Type::kObject || ph.find("count") == nullptr ||
-            ph.find("p50_us") == nullptr || ph.find("p99_us") == nullptr ||
-            ph.find("p999_us") == nullptr) {
-          return fail("malformed phase sketch: " + name);
-        }
-      }
-      ++samples;
-    } else {
-      return fail("unexpected record kind: " + kind);
-    }
-  }
-  if (headers == 0) {
-    *error = "no header record";
-    return false;
-  }
-  if (samples == 0) {
-    *error = "no sample records";
-    return false;
-  }
-  return true;
 }
 
 }  // namespace wfsort::telemetry

@@ -6,7 +6,9 @@
 //   schema      "wfsort-stats-v1"
 //   substrate   "native" | "sim"
 //   build_type  "release" | "debug" — provenance of the producing binary
-//   config      run parameters (variant, n, threads/procs, seed, knobs)
+//   config      run parameters (native: variant, n, threads, seed, phase1,
+//               telemetry; sim: program, n, procs, sched, seed, engine,
+//               sim_threads)
 //   totals      scalar outcomes (wall_ms, workers, rounds, ...)
 //   phases      array of {name, max_ms, total_ms, workers} — empty for sim
 //   counters    named event counts (object; key set depends on substrate/level)
@@ -33,12 +35,10 @@ struct SortStats;
 namespace wfsort::telemetry {
 
 inline constexpr const char kStatsSchema[] = "wfsort-stats-v1";
-inline constexpr const char kMonitorSchema[] = "wfsort-monitor-v1";
 
 // "release" or "debug", from the NDEBUG the telemetry library itself was
-// compiled with.  Stamped into every stats document and monitor header so a
-// committed artifact carries its provenance — a debug-build number is not a
-// number.
+// compiled with.  Stamped into every stats document so a committed artifact
+// carries its provenance — a debug-build number is not a number.
 const char* build_type_name();
 
 // Config echo for a native run; fill by hand or from Options via
@@ -48,9 +48,6 @@ struct NativeRunInfo {
   std::uint64_t n = 0;
   std::uint32_t threads = 0;
   std::uint64_t seed = 0;
-  std::uint32_t wat_batch = 0;
-  std::uint64_t seq_cutoff = 0;
-  std::uint32_t lc_copies = 0;
   std::string phase1;  // "tree" | "partition"
   Level level = Level::kOff;
 };
@@ -100,13 +97,5 @@ Json sim_stats_json(const SimRunInfo& info, const pram::Metrics& metrics,
 // pass).
 bool validate_stats_json(const Json& doc, std::string* error,
                          bool require_release = false);
-
-// Structural validation of a whole "wfsort-monitor-v1" JSONL file (the live
-// monitor's output; monitor.h documents the record stream).  A file holds
-// one or more sessions, each a "header" record followed by its "sample"
-// records; every header must carry build_type provenance exactly like a
-// stats document (`require_release` rejects missing/non-release values).
-bool validate_monitor_jsonl(const std::string& text, std::string* error,
-                            bool require_release = false);
 
 }  // namespace wfsort::telemetry

@@ -8,9 +8,8 @@
 // is within a documented relative error of the exact sample percentile
 // (see kRelativeError; test_ring.cpp checks the bound against exact
 // percentiles).  Adds are O(1) (a bit_width and two array ops), snapshots
-// are plain data, and merge() is bucket-wise addition — exactly what the
-// live monitor needs to fold per-worker streams, and what the ROADMAP's
-// wfsortd daemon needs for per-tenant p50/p99/p999.
+// are plain data, and merge() is bucket-wise addition, so per-worker
+// sketches combine exactly.  Report::phase_sketch feeds one per phase.
 #pragma once
 
 #include <array>

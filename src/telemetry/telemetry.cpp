@@ -75,7 +75,6 @@ const char* flight_kind_name(FlightKind kind) {
     case FlightKind::kLeafBlock: return "leaf_block";
     case FlightKind::kFault: return "fault";
     case FlightKind::kSimOp: return "sim_op";
-    case FlightKind::kSimRound: return "sim_round";
     case FlightKind::kKindCount: break;
   }
   return "?";

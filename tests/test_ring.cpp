@@ -1,4 +1,4 @@
-// Flight-recorder ring, latency sketch, and live monitor tests.
+// Flight-recorder ring and latency sketch tests.
 //
 // RingTorture is the seqlock contract check: one writer pushing derivable
 // events flat out, racing readers snapshotting concurrently.  Readers must
@@ -9,17 +9,12 @@
 // implementation would trip over.
 #include <atomic>
 #include <cstdint>
-#include <fstream>
-#include <iterator>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/sort.h"
 #include "telemetry/ring.h"
-#include "telemetry/schema.h"
 #include "telemetry/sketch.h"
 
 namespace tel = wfsort::telemetry;
@@ -195,64 +190,6 @@ TEST(Sketch, EmptyAndZeroHandling) {
   sk.add(0);
   EXPECT_EQ(sk.count(), 1u);
   EXPECT_EQ(sk.quantile(0.5), 0u);
-}
-
-// --- live monitor end-to-end ---
-
-TEST(Monitor, MonitoredSortEmitsValidStreamWithNonzeroLatencies) {
-  const std::string path = ::testing::TempDir() + "wfsort_monitor_test.jsonl";
-  { std::ofstream trunc(path, std::ios::trunc); }
-
-  std::vector<std::uint64_t> data(150000);
-  std::uint64_t x = 99991;
-  for (auto& v : data) {
-    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-    v = x >> 11;
-  }
-  wfsort::Options opts;
-  opts.threads = 4;
-  opts.telemetry = tel::Level::kFull;
-  opts.monitor_path = path;
-  opts.monitor_interval_ms = 5;
-  wfsort::sort(std::span<std::uint64_t>(data), opts);
-  for (std::size_t i = 1; i < data.size(); ++i) ASSERT_LE(data[i - 1], data[i]);
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  const std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-  std::string error;
-  ASSERT_TRUE(tel::validate_monitor_jsonl(text, &error)) << error;
-
-  // The final sample must carry nonzero per-phase and per-job latency
-  // quantiles — the stream is useless if the sketches never filled.
-  std::size_t pos = 0;
-  bool saw_final = false;
-  while (pos < text.size()) {
-    const std::size_t end = text.find('\n', pos);
-    const std::string line =
-        text.substr(pos, end == std::string::npos ? end : end - pos);
-    pos = end == std::string::npos ? text.size() : end + 1;
-    if (line.empty()) continue;
-    std::string perr;
-    const wfsort::Json rec = wfsort::Json::parse(line, &perr);
-    ASSERT_TRUE(perr.empty()) << perr;
-    const wfsort::Json* final_flag = rec.find("final");
-    if (final_flag == nullptr || !final_flag->as_bool()) continue;
-    saw_final = true;
-    EXPECT_GT(rec.at("events").as_u64(), 0u);
-    bool phase_quantiles = false;
-    for (const auto& [name, ph] : rec.at("phases").object_items()) {
-      if (ph.at("count").as_u64() > 0 && ph.at("p50_us").as_u64() > 0 &&
-          ph.at("p99_us").as_u64() > 0 && ph.at("p999_us").as_u64() > 0) {
-        phase_quantiles = true;
-      }
-    }
-    EXPECT_TRUE(phase_quantiles) << "no phase with nonzero p50/p99/p999";
-    ASSERT_NE(rec.find("jobs"), nullptr);
-    EXPECT_GT(rec.at("jobs").at("p50_us").as_u64(), 0u);
-  }
-  EXPECT_TRUE(saw_final);
 }
 
 }  // namespace

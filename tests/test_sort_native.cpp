@@ -6,14 +6,18 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <initializer_list>
 #include <ostream>
 #include <span>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/bits.h"
 #include "common/rng.h"
+#include "core/pool.h"
 #include "core/sort.h"
 #include "exp/workloads.h"
 #include "runtime/adversaries.h"
@@ -26,6 +30,7 @@ using wfsort::Phase1;
 using wfsort::Rng;
 using wfsort::SortStats;
 using wfsort::Variant;
+using wfsort::detail::Tuning;
 using wfsort::exp::Dist;
 
 // ------------------------------------------------------------ workloads
@@ -72,6 +77,23 @@ std::vector<std::uint64_t> make_workload(Workload w, std::size_t n, std::uint64_
       break;
   }
   return v;
+}
+
+// A sort at non-default engine tuning.  The tuning constants are not
+// Options; the public entry points run detail::sort_run at Tuning{}, and
+// this calls it with `tuning` instead.  A null `plan` runs like sort (the
+// caller alone below kCallerOnlyCutoff); a FaultPlan* runs every worker, as
+// sort_with_faults does.
+template <typename Plan = std::nullptr_t>
+bool tuned_sort(std::vector<std::uint64_t>& v, const Options& opts, const Tuning& tuning,
+                SortStats* stats = nullptr, Plan plan = nullptr) {
+  return wfsort::detail::sort_run(
+      std::span<std::uint64_t>(v), opts, stats, std::less<std::uint64_t>{}, plan,
+      /*assemble_into_data=*/true, /*arena=*/nullptr, /*rec=*/nullptr,
+      [plan](auto& engine, std::uint32_t width) {
+        wfsort::detail::run_workers(engine, width, plan);
+      },
+      tuning);
 }
 
 void expect_sorted_permutation(const std::vector<std::uint64_t>& original,
@@ -327,14 +349,14 @@ std::vector<SweepParam> make_sweep() {
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, SortSweep, testing::ValuesIn(make_sweep()),
                          sweep_name);
 
-// ------------------------------------------------------------ engine knobs
+// ------------------------------------------------------------ engine tuning
 
 // Every (wat_batch, seq_cutoff, phase1) combination must sort identically —
-// the knobs trade traversal overhead for batching, never correctness.  The
-// grid deliberately includes the degenerate settings (batch 1 = one WAT
-// traversal per element, cutoff 0 = pure frame machinery) and a cutoff
-// larger than most subtrees, and runs the deterministic rows under both
-// phase-1 strategies (pivot tree and blocked partition).
+// the Tuning constants trade traversal overhead for batching, never
+// correctness.  The grid deliberately includes the degenerate settings
+// (batch 1 = one WAT traversal per element, cutoff 0 = pure frame machinery)
+// and a cutoff larger than most subtrees, and runs the deterministic rows
+// under both phase-1 strategies (pivot tree and blocked partition).
 // gtest prints a parameter without a PrintTo as its raw bytes, and those
 // bytes end up in the registered test name.  The struct therefore has no
 // padding (wat_batch is 64-bit for that reason alone): padding bytes are
@@ -348,9 +370,11 @@ struct KnobParam {
 static_assert(std::has_unique_object_representations_v<KnobParam>);
 
 std::string knob_label(const KnobParam& p) {
-  return "b" + std::to_string(p.wat_batch) + "_c" + std::to_string(p.seq_cutoff) +
-         (p.variant == Variant::kDeterministic ? "_det" : "_lc") +
-         (p.phase1 == Phase1::kPartition ? "_part" : "");
+  std::string label = "b";
+  label += std::to_string(p.wat_batch) + "_c" + std::to_string(p.seq_cutoff);
+  label += p.variant == Variant::kDeterministic ? "_det" : "_lc";
+  label += p.phase1 == Phase1::kPartition ? "_part" : "";
+  return label;
 }
 
 class KnobSweep : public testing::TestWithParam<KnobParam> {};
@@ -359,23 +383,20 @@ class KnobSweep : public testing::TestWithParam<KnobParam> {};
 // workers racing, and the plain call, the caller alone, must match them.
 TEST_P(KnobSweep, SortsToPermutation) {
   const KnobParam p = GetParam();
-  const Options opts{.threads = 3,
-                     .variant = p.variant,
-                     .phase1 = p.phase1,
-                     .wat_batch = static_cast<std::uint32_t>(p.wat_batch),
-                     .seq_cutoff = p.seq_cutoff};
+  const Options opts{.threads = 3, .variant = p.variant, .phase1 = p.phase1};
+  const Tuning tuning{.wat_batch = p.wat_batch, .seq_cutoff = p.seq_cutoff};
   auto v = make_workload(Workload::kRandom, 1500, 7000 + p.wat_batch + p.seq_cutoff);
   auto orig = v;
   wfsort::runtime::FaultPlan no_faults(3);
   SortStats stats;
-  ASSERT_TRUE(wfsort::sort_with_faults(std::span<std::uint64_t>(v), opts, no_faults, &stats));
+  ASSERT_TRUE(tuned_sort(v, opts, tuning, &stats, &no_faults));
   expect_sorted_permutation(orig, v, knob_label(p));
   EXPECT_LE(stats.max_build_iters, v.size() - 1);  // Lemma 2.4 at any batch
   EXPECT_EQ(stats.completed_workers, 3u);
 
   auto solo = orig;
   SortStats solo_stats;
-  wfsort::sort(std::span<std::uint64_t>(solo), opts, &solo_stats);
+  ASSERT_TRUE(tuned_sort(solo, opts, tuning, &solo_stats));
   EXPECT_EQ(solo, v);
   EXPECT_EQ(solo_stats.workers, 1u);
   EXPECT_EQ(solo_stats.completed_workers, 1u);
@@ -383,7 +404,7 @@ TEST_P(KnobSweep, SortsToPermutation) {
 
 std::vector<KnobParam> make_knob_sweep() {
   std::vector<KnobParam> out;
-  for (std::uint32_t b : {1u, 4u, 16u}) {
+  for (std::uint64_t b : {1u, 4u, 16u}) {
     for (std::uint64_t c : {0u, 64u, 128u}) {  // off, small, the re-picked default
       out.push_back({b, c, Variant::kDeterministic});
       out.push_back({b, c, Variant::kLowContention});
@@ -606,10 +627,8 @@ TEST(SortNative, LowContentionCopiesKnob) {
   for (std::uint32_t copies : {1u, 3u, 16u}) {
     auto v = make_workload(Workload::kRandom, 2000, 500 + copies);
     auto orig = v;
-    wfsort::sort(std::span<std::uint64_t>(v),
-                 Options{.threads = 3,
-                         .variant = Variant::kLowContention,
-                         .lc_copies = copies});
+    ASSERT_TRUE(tuned_sort(v, Options{.threads = 3, .variant = Variant::kLowContention},
+                           Tuning{.lc_copies = copies}));
     expect_sorted_permutation(orig, v, "copies=" + std::to_string(copies));
   }
 }
@@ -817,56 +836,41 @@ TEST(SortFaults, CrashesWithLowContentionVariant) {
 
 TEST(SortFaults, CannedAdversaryAtNonDefaultKnobs) {
   // The canned staggered-kills adversary, compiled onto the native substrate
-  // via program_plan, against knobs far from the defaults on both sides:
+  // via program_plan, against Tuning far from the defaults on both sides:
   // batching and the sequential cutoff must not open any crash window (the
   // cutoff's completion flag is published only after the block walk).
   constexpr std::uint32_t kThreads = 4;
   const wfsort::runtime::FaultScript script =
       wfsort::runtime::staggered_kills(/*first_round=*/40, /*stride=*/400, kThreads,
                                        /*survivors=*/1);
-  for (const Options& opts :
-       {Options{.threads = kThreads, .wat_batch = 1, .seq_cutoff = 512},
-        Options{.threads = kThreads, .wat_batch = 64, .seq_cutoff = 0},
-        // The blocked-partition phase 1 at both knob extremes: its three
-        // WAT-driven sweeps (classify, scatter, bucket-sort) must tolerate
-        // the same kills as the tree path — every write is idempotent and
-        // the kAllJobsDone gates publish each sweep exactly once.
-        Options{.threads = kThreads,
-                .phase1 = Phase1::kPartition,
-                .wat_batch = 1,
-                .seq_cutoff = 512},
-        Options{.threads = kThreads,
-                .phase1 = Phase1::kPartition,
-                .wat_batch = 64,
-                .seq_cutoff = 0},
-        Options{.threads = kThreads,
-                .variant = Variant::kLowContention,
-                .wat_batch = 64,
-                .seq_cutoff = 512},
-        // LC fast-path knobs far from their defaults: paper-literal one-node
-        // probes with backoff disabled, and a deep-burst / aggressive-backoff
-        // extreme — the crash windows must stay closed at both ends.
-        Options{.threads = kThreads,
-                .variant = Variant::kLowContention,
-                .wat_batch = 1,
-                .lc_burst = 1,
-                .backoff_limit = 0},
-        Options{.threads = kThreads,
-                .variant = Variant::kLowContention,
-                .seq_cutoff = 0,
-                .lc_burst = 512,
-                .backoff_limit = 12}}) {
+  const Options det{.threads = kThreads};
+  const Options part{.threads = kThreads, .phase1 = Phase1::kPartition};
+  const Options lc{.threads = kThreads, .variant = Variant::kLowContention};
+  for (const auto& [opts, tuning] : std::initializer_list<std::pair<Options, Tuning>>{
+           {det, {.wat_batch = 1, .seq_cutoff = 512}},
+           {det, {.wat_batch = 64, .seq_cutoff = 0}},
+           // The blocked-partition phase 1 at both tuning extremes: its three
+           // WAT-driven sweeps (classify, scatter, bucket-sort) must tolerate
+           // the same kills as the tree path — every write is idempotent and
+           // the kAllJobsDone gates publish each sweep exactly once.
+           {part, {.wat_batch = 1, .seq_cutoff = 512}},
+           {part, {.wat_batch = 64, .seq_cutoff = 0}},
+           {lc, {.wat_batch = 64, .seq_cutoff = 512}},
+           // LC fast-path constants far from their defaults: paper-literal
+           // one-node probes with backoff disabled, and a deep-burst /
+           // aggressive-backoff extreme — the crash windows must stay closed
+           // at both ends.
+           {lc, {.wat_batch = 1, .lc_burst = 1, .backoff_limit = 0}},
+           {lc, {.seq_cutoff = 0, .lc_burst = 512, .backoff_limit = 12}}}) {
     auto v = make_workload(Workload::kRandom, 2048, 77);
     auto orig = v;
     wfsort::runtime::FaultPlan plan(kThreads);
     wfsort::runtime::program_plan(script, plan);
     SortStats stats;
-    const bool ok =
-        wfsort::sort_with_faults(std::span<std::uint64_t>(v), opts, plan, &stats);
-    ASSERT_TRUE(ok);
+    ASSERT_TRUE(tuned_sort(v, opts, tuning, &stats, &plan));
     expect_sorted_permutation(
-        orig, v, "canned b" + std::to_string(opts.wat_batch) + "_c" +
-                     std::to_string(opts.seq_cutoff) +
+        orig, v, "canned b" + std::to_string(tuning.wat_batch) + "_c" +
+                     std::to_string(tuning.seq_cutoff) +
                      (opts.phase1 == Phase1::kPartition ? "_part" : ""));
     EXPECT_GE(stats.completed_workers, 1u);
   }
@@ -897,21 +901,14 @@ TEST(SortFaults, PartitionPathStaggeredCrashes) {
 TEST(SortFaults, SuspendAndReviveLcAtNonDefaultKnobs) {
   // The suspend-and-revive adversary — on the native substrate a long
   // mid-phase sleep IS suspend-then-revive (the simulator's kSuspend/kRevive
-  // pair has no thread equivalent) — against the LC fast path with its knobs
-  // pushed off the defaults: revived workers must rejoin whatever stage the
-  // survivors advanced to, so stale burst stacks, claim runs, and backoff
-  // states must all be harmless.
+  // pair has no thread equivalent) — against the LC fast path with its
+  // Tuning pushed off the defaults: revived workers must rejoin whatever
+  // stage the survivors advanced to, so stale burst stacks, claim runs, and
+  // backoff states must all be harmless.
   constexpr std::uint32_t kThreads = 4;
-  for (const Options& opts :
-       {Options{.threads = kThreads,
-                .variant = Variant::kLowContention,
-                .lc_burst = 1,
-                .backoff_limit = 0},
-        Options{.threads = kThreads,
-                .variant = Variant::kLowContention,
-                .wat_batch = 1,
-                .lc_burst = 256,
-                .backoff_limit = 10}}) {
+  const Options opts{.threads = kThreads, .variant = Variant::kLowContention};
+  for (const Tuning& tuning : {Tuning{.lc_burst = 1, .backoff_limit = 0},
+                               Tuning{.wat_batch = 1, .lc_burst = 256, .backoff_limit = 10}}) {
     auto v = make_workload(Workload::kRandom, 2048, 91);
     auto orig = v;
     wfsort::runtime::FaultPlan plan(kThreads);
@@ -919,11 +916,8 @@ TEST(SortFaults, SuspendAndReviveLcAtNonDefaultKnobs) {
       plan.sleep_at(t, 64 + 100 * t, std::chrono::microseconds(20000));
     }
     SortStats stats;
-    const bool ok =
-        wfsort::sort_with_faults(std::span<std::uint64_t>(v), opts, plan, &stats);
-    ASSERT_TRUE(ok);
-    expect_sorted_permutation(
-        orig, v, "revive burst=" + std::to_string(opts.lc_burst));
+    ASSERT_TRUE(tuned_sort(v, opts, tuning, &stats, &plan));
+    expect_sorted_permutation(orig, v, "revive burst=" + std::to_string(tuning.lc_burst));
     EXPECT_GE(stats.completed_workers, 1u);
   }
 }
@@ -947,5 +941,83 @@ TEST(SortFaults, MidPhase3CrashesNeverLoseWork) {
     expect_sorted_permutation(orig, v, "attempt " + std::to_string(attempt));
   }
 }
+
+// ------------------------------------------------------------ public options
+
+// Every combination of the public Options that changes what runs (variant x
+// phase1 x telemetry x threads), through sort, sort_permutation and
+// SortPool::sort, on both sides of kCallerOnlyCutoff: the caller-alone run
+// and the full-width one.  Keys repeat, so the (key, index) tie-break of the
+// permutation is checked too.
+struct PublicParam {
+  Variant variant;
+  Phase1 phase1;
+  wfsort::telemetry::Level telemetry;
+  std::uint32_t threads;
+};
+
+std::string public_label(const PublicParam& p) {
+  std::string label = p.variant == Variant::kDeterministic ? "det" : "lc";
+  label += p.phase1 == Phase1::kPartition ? "_part_" : "_tree_";
+  label += wfsort::telemetry::level_name(p.telemetry);
+  label += "_t" + std::to_string(p.threads);
+  return label;
+}
+
+void PrintTo(const PublicParam& p, std::ostream* os) { *os << public_label(p); }
+
+class PublicOptionsMatrix : public testing::TestWithParam<PublicParam> {};
+
+TEST_P(PublicOptionsMatrix, EveryEntryPointSortsOnBothWidths) {
+  const PublicParam p = GetParam();
+  const Options opts{.threads = p.threads,
+                     .variant = p.variant,
+                     .phase1 = p.phase1,
+                     .telemetry = p.telemetry};
+  wfsort::SortPool pool(p.threads);
+  for (const std::uint64_t n :
+       {wfsort::kCallerOnlyCutoff - 1, wfsort::kCallerOnlyCutoff + 1}) {
+    const std::string where = public_label(p) + " n=" + std::to_string(n);
+    std::vector<std::uint64_t> input = make_workload(Workload::kRandom, n, 900 + n);
+    for (auto& x : input) x %= n / 4;
+    std::vector<std::uint64_t> sorted = input;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<std::uint32_t> argsort(n);
+    for (std::uint32_t i = 0; i < n; ++i) argsort[i] = i;
+    std::stable_sort(argsort.begin(), argsort.end(),
+                     [&input](std::uint32_t x, std::uint32_t y) { return input[x] < input[y]; });
+
+    std::vector<std::uint64_t> v = input;
+    wfsort::sort(std::span<std::uint64_t>(v), opts);
+    EXPECT_EQ(v, sorted) << "sort " << where;
+    EXPECT_EQ(wfsort::sort_permutation(std::span<const std::uint64_t>(input), opts), argsort)
+        << "sort_permutation " << where;
+    v = input;
+    pool.sort(std::span<std::uint64_t>(v), opts);
+    EXPECT_EQ(v, sorted) << "SortPool::sort " << where;
+  }
+}
+
+std::vector<PublicParam> make_public_matrix() {
+  using wfsort::telemetry::Level;
+  std::vector<PublicParam> out;
+  for (const Variant variant : {Variant::kDeterministic, Variant::kLowContention}) {
+    for (const Phase1 phase1 : {Phase1::kTree, Phase1::kPartition}) {
+      for (const Level level : {Level::kOff, Level::kPhases, Level::kFull}) {
+        for (const std::uint32_t threads : {1u, 3u}) {
+          out.push_back({variant, phase1, level, threads});
+        }
+      }
+    }
+  }
+  return out;
+}
+
+std::string public_name(const testing::TestParamInfo<PublicParam>& param_info) {
+  return public_label(param_info.param);
+}
+
+INSTANTIATE_TEST_SUITE_P(All, PublicOptionsMatrix, testing::ValuesIn(make_public_matrix()),
+                         public_name);
 
 }  // namespace

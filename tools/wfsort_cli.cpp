@@ -7,20 +7,20 @@
 //   wfsort validate stats.json --require-release
 //   wfsort hunt --n=256 --procs=16 --prune=placed --out=repro.json
 //   wfsort replay repro.json
-//   wfsort sort --n=1000000 --monitor-out=monitor.jsonl
-//   wfsort report monitor.jsonl          # or: wfsort report repro.json
+//   wfsort report repro.json
 //
 // `sort` runs the native wait-free sorter (reads integers from positional
 // files, or generates --n keys); `sim` runs the chosen variant on the CRCW
 // PRAM simulator and prints rounds, contention and (optionally) the tail of
 // the execution trace.  Native performance is measured by the repository
 // benchmark (benchmark/README.md), not here.  `validate` structurally checks
-// an emitted stats document, monitor stream or google-benchmark report;
-// with --require-release it additionally rejects files not produced by a
+// an emitted stats document or google-benchmark report; with
+// --require-release it additionally rejects files not produced by a
 // release build (committed BENCH files must pass this).  `hunt` unleashes
 // the searching adversary — fault scripts swept across scheduler families —
 // and writes a replay artifact if any scenario fails; `replay` re-executes
-// such an artifact and reports whether the failure reproduces (see
+// such an artifact and reports whether the failure reproduces, and `report`
+// prints its failure summary and post-mortem rings (see
 // docs/fault_model.md and docs/observability.md).
 //
 // Observability flags (see docs/observability.md):
@@ -28,13 +28,8 @@
 //   --stats-json=PATH             write the "wfsort-stats-v1" document
 //                                 (sort/sim; hunt writes search stats)
 //   --trace-out=PATH              write a Perfetto/chrome://tracing trace
-//   --monitor-out=PATH            live monitor: append "wfsort-monitor-v1"
-//                                 JSONL samples while the run is in flight
-//                                 (sort/sim); render with `wfsort report`
-//   --monitor-interval-ms=N       sampling period of the live monitor
 //   --ring-capacity=N             flight-recorder events retained per worker
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -55,8 +50,6 @@
 #include "pramsort/validate.h"
 #include "runtime/scenario.h"
 #include "runtime/search.h"
-#include "telemetry/monitor.h"
-#include "telemetry/ring.h"
 #include "telemetry/schema.h"
 #include "telemetry/trace_export.h"
 
@@ -87,56 +80,10 @@ tel::Level requested_level(const wfsort::CliFlags& flags) {
     std::exit(2);
   }
   if (level == tel::Level::kOff &&
-      (!flags.str("stats-json").empty() || !flags.str("trace-out").empty() ||
-       !flags.str("monitor-out").empty())) {
+      (!flags.str("stats-json").empty() || !flags.str("trace-out").empty())) {
     level = tel::Level::kFull;
   }
   return level;
-}
-
-// Fill Options' monitor knobs from the flags.  The sink is truncated once up
-// front by truncate_monitor_file (the Monitor itself appends).
-void apply_monitor_flags(const wfsort::CliFlags& flags, wfsort::Options* opts) {
-  opts->ring_capacity = static_cast<std::uint32_t>(flags.u64("ring-capacity"));
-  const std::string path = flags.str("monitor-out");
-  if (path.empty()) return;
-  opts->monitor_path = path;
-  opts->monitor_interval_ms =
-      std::max<std::uint32_t>(1, static_cast<std::uint32_t>(
-                                     flags.u64("monitor-interval-ms")));
-}
-
-// Truncate the monitor sink so this invocation's sessions start fresh.
-bool truncate_monitor_file(const std::string& path) {
-  if (path.empty()) return true;
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return false;
-  }
-  return true;
-}
-
-// Validate + report a freshly written monitor file; the emitting run is the
-// first consumer of its own stream.
-int check_monitor_file(const std::string& path) {
-  if (path.empty()) return 0;
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "monitor file %s disappeared\n", path.c_str());
-    return 2;
-  }
-  const std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-  std::string error;
-  if (!tel::validate_monitor_jsonl(text, &error)) {
-    std::fprintf(stderr, "internal error: emitted monitor stream invalid: %s\n",
-                 error.c_str());
-    return 2;
-  }
-  std::fprintf(stderr, "wrote %s (render with: wfsort report %s)\n",
-               path.c_str(), path.c_str());
-  return 0;
 }
 
 // Best-effort "max contention" line from a stats document, for replay diffs.
@@ -198,15 +145,13 @@ int run_sort(const wfsort::CliFlags& flags) {
   opts.phase1 = parse_phase1(flags.str("phase1"));
   opts.seed = flags.u64("seed");
   opts.telemetry = requested_level(flags);
-  apply_monitor_flags(flags, &opts);
-  if (!truncate_monitor_file(opts.monitor_path)) return 2;
+  opts.ring_capacity = static_cast<std::uint32_t>(flags.u64("ring-capacity"));
   wfsort::SortStats stats;
   if (flags.flag("pool")) {
     wfsort::default_pool().sort(std::span<std::uint64_t>(data), opts, &stats);
   } else {
     wfsort::sort(std::span<std::uint64_t>(data), opts, &stats);
   }
-  if (const int rc = check_monitor_file(opts.monitor_path); rc != 0) return rc;
 
   bool ok = true;
   for (std::size_t i = 1; i < data.size(); ++i) ok &= data[i - 1] <= data[i];
@@ -266,30 +211,6 @@ int run_validate(const wfsort::CliFlags& flags) {
                          std::istreambuf_iterator<char>());
   const bool require_release = flags.flag("require-release");
 
-  // JSONL dispatch: a monitor stream is a line sequence, not one document.
-  // Peek at the first line's schema.
-  {
-    const std::size_t eol = text.find('\n');
-    const std::string first = text.substr(0, eol);
-    std::string lerr;
-    const wfsort::Json head = wfsort::Json::parse(first, &lerr);
-    if (lerr.empty() && head.type() == wfsort::Json::Type::kObject &&
-        eol != std::string::npos) {
-      const wfsort::Json* ls = head.find("schema");
-      if (ls != nullptr && ls->type() == wfsort::Json::Type::kString) {
-        if (ls->as_string() == tel::kMonitorSchema) {
-          std::string merr;
-          if (!tel::validate_monitor_jsonl(text, &merr, require_release)) {
-            std::fprintf(stderr, "%s: INVALID: %s\n", path.c_str(), merr.c_str());
-            return 1;
-          }
-          std::fprintf(stderr, "%s: ok (%s)\n", path.c_str(), tel::kMonitorSchema);
-          return 0;
-        }
-      }
-    }
-  }
-
   std::string error;
   const wfsort::Json doc = wfsort::Json::parse(text, &error);
   if (!error.empty()) {
@@ -335,50 +256,6 @@ int run_validate(const wfsort::CliFlags& flags) {
   return 0;
 }
 
-// Sim-substrate monitor adapter: one flight-recorder ring fed from the
-// machine's trace stream (ops via to_flight, round markers via on_round),
-// sampled live by a telemetry::Monitor.  The machine flushes trace events on
-// the coordinating thread even under the sharded engine, so the ring keeps
-// its single writer; the monitor reads seqlock snapshots from its own
-// thread.  Chains to an optional downstream tracer so --trace still works.
-class SimMonitorTracer final : public pram::Tracer {
- public:
-  SimMonitorTracer(std::uint32_t capacity, pram::Tracer* next) : next_(next) {
-    ring_.reset(capacity);
-  }
-
-  void on_event(const pram::TraceEvent& e) override {
-    ring_.push(pram::to_flight(e));
-    if (next_ != nullptr) next_->on_event(e);
-  }
-
-  void on_round(std::uint64_t round, std::uint64_t ops) override {
-    wfsort::telemetry::FlightEvent ev{};
-    ev.t = round;
-    ev.value = ops;
-    ev.kind = static_cast<std::uint8_t>(tel::FlightKind::kSimRound);
-    ring_.push(ev);
-    if (next_ != nullptr) next_->on_round(round, ops);
-  }
-
-  void on_fault(std::uint64_t round, pram::ProcId pid,
-                pram::TraceFault fault) override {
-    wfsort::telemetry::FlightEvent ev{};
-    ev.t = round;
-    ev.tid = static_cast<std::uint16_t>(pid);
-    ev.kind = static_cast<std::uint8_t>(tel::FlightKind::kFault);
-    ev.a8 = static_cast<std::uint8_t>(fault);
-    ring_.push(ev);
-    if (next_ != nullptr) next_->on_fault(round, pid, fault);
-  }
-
-  const tel::FlightRing* ring() const { return &ring_; }
-
- private:
-  tel::FlightRing ring_;
-  pram::Tracer* next_;
-};
-
 int run_sim(const wfsort::CliFlags& flags) {
   const std::size_t n = flags.u64("n");
   const auto procs = static_cast<std::uint32_t>(flags.u64("procs"));
@@ -392,36 +269,6 @@ int run_sim(const wfsort::CliFlags& flags) {
 
   pram::RingTracer tracer(flags.u64("trace"));
   if (flags.u64("trace") > 0) m.set_tracer(&tracer);
-
-  // Live monitor: interpose the flight-recorder adapter in front of any
-  // --trace ring and sample it from a Monitor thread while the sim runs.
-  std::unique_ptr<SimMonitorTracer> mon_tracer;
-  std::unique_ptr<tel::Monitor> monitor;
-  const std::string monitor_path = flags.str("monitor-out");
-  if (!monitor_path.empty()) {
-    if (!truncate_monitor_file(monitor_path)) return 2;
-    mon_tracer = std::make_unique<SimMonitorTracer>(
-        static_cast<std::uint32_t>(flags.u64("ring-capacity")),
-        flags.u64("trace") > 0 ? &tracer : nullptr);
-    m.set_tracer(mon_tracer.get());
-    tel::Monitor::Config mcfg;
-    mcfg.path = monitor_path;
-    mcfg.interval_ms = std::max<std::uint32_t>(
-        1, static_cast<std::uint32_t>(flags.u64("monitor-interval-ms")));
-    mcfg.source = "sim";
-    mcfg.config.set("program", flags.str("variant") + "_sort");
-    mcfg.config.set("n", static_cast<std::uint64_t>(n));
-    mcfg.config.set("procs", static_cast<std::uint64_t>(procs));
-    mcfg.config.set("sched", flags.str("schedule"));
-    mcfg.config.set("seed", flags.u64("seed"));
-    monitor = std::make_unique<tel::Monitor>(
-        std::vector<const tel::FlightRing*>{mon_tracer->ring()}, std::move(mcfg));
-    if (!monitor->ok()) {
-      std::fprintf(stderr, "cannot open %s\n", monitor_path.c_str());
-      return 2;
-    }
-    monitor->start();
-  }
 
   std::unique_ptr<pram::Scheduler> sched;
   const std::string s = flags.str("schedule");
@@ -441,7 +288,6 @@ int run_sim(const wfsort::CliFlags& flags) {
 
   bool sorted = false;
   std::uint64_t rounds = 0;
-  const auto t_run0 = std::chrono::steady_clock::now();
   if (flags.str("variant") == "lc") {
     auto res = wfsort::sim::run_lc_sort(m, keys, procs, *sched);
     sorted = res.sorted;
@@ -461,15 +307,6 @@ int run_sim(const wfsort::CliFlags& flags) {
       return 1;
     }
   }
-  if (monitor != nullptr) {
-    monitor->note_job(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t_run0)
-            .count()));
-    monitor->stop();
-    if (const int rc = check_monitor_file(monitor_path); rc != 0) return rc;
-  }
-
   std::printf("n=%zu procs=%u schedule=%s variant=%s\n", n, procs, s.c_str(),
               flags.str("variant").c_str());
   std::printf("rounds=%llu total_ops=%llu qrqw_time=%llu stalls=%llu\n",
@@ -614,13 +451,11 @@ void print_rings(const wfsort::Json& rings, std::size_t last_k) {
   }
 }
 
-// Report: human rendering of observability artifacts.  A monitor JSONL file
-// becomes a per-session sample timeline with the final quantile table; a
-// replay artifact becomes its failure summary plus the kill victims' post-
-// mortem ring dump.
+// Report: human rendering of a replay artifact, its failure summary plus
+// the kill victims' post-mortem ring dump.
 int run_report(const wfsort::CliFlags& flags) {
   if (flags.positional().size() < 2) {
-    std::fprintf(stderr, "usage: wfsort report <monitor.jsonl|artifact.json>\n");
+    std::fprintf(stderr, "usage: wfsort report <artifact.json>\n");
     return 2;
   }
   const std::string& path = flags.positional()[1];
@@ -632,96 +467,39 @@ int run_report(const wfsort::CliFlags& flags) {
   const std::string text((std::istreambuf_iterator<char>(in)),
                          std::istreambuf_iterator<char>());
 
-  // Replay artifact?  (One pretty-printed document with a format marker.)
-  {
-    std::string perr;
-    const wfsort::Json doc = wfsort::Json::parse(text, &perr);
-    if (perr.empty() && doc.type() == wfsort::Json::Type::kObject) {
-      const wfsort::Json* format = doc.find("format");
-      if (format != nullptr && format->type() == wfsort::Json::Type::kString &&
-          format->as_string() == "wfsort-repro-v1") {
-        if (const wfsort::Json* failure = doc.find("failure"); failure != nullptr) {
-          const wfsort::Json* kind = failure->find("kind");
-          const wfsort::Json* detail = failure->find("detail");
-          std::printf("failure: %s — %s\n",
-                      kind != nullptr ? kind->as_string().c_str() : "?",
-                      detail != nullptr ? detail->as_string().c_str() : "");
-        }
-        const wfsort::Json* rings = doc.find("rings");
-        if (rings == nullptr && doc.find("observed") != nullptr) {
-          rings = doc.at("observed").find("rings");
-        }
-        if (rings == nullptr || rings->items().empty()) {
-          std::printf("no post-mortem rings recorded (script kills nobody, or "
-                      "the artifact predates the flight recorder)\n");
-          return 0;
-        }
-        print_rings(*rings, 16);
-        return 0;
-      }
-      std::fprintf(stderr,
-                   "%s: not a monitor stream or replay artifact (schema %s)\n",
-                   path.c_str(),
-                   doc.find("schema") != nullptr
-                       ? doc.at("schema").as_string().c_str()
-                       : "?");
-      return 1;
-    }
-  }
-
-  // Otherwise: monitor JSONL.  Validate first, then render the timeline.
   std::string error;
-  if (!tel::validate_monitor_jsonl(text, &error)) {
-    std::fprintf(stderr, "%s: INVALID: %s\n", path.c_str(), error.c_str());
+  const wfsort::Json doc = wfsort::Json::parse(text, &error);
+  if (!error.empty()) {
+    std::fprintf(stderr, "%s: parse error: %s\n", path.c_str(), error.c_str());
     return 1;
   }
-  std::size_t session = 0, pos = 0;
-  while (pos < text.size()) {
-    const std::size_t end = text.find('\n', pos);
-    const std::string line =
-        text.substr(pos, end == std::string::npos ? end : end - pos);
-    pos = end == std::string::npos ? text.size() : end + 1;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    std::string lerr;
-    const wfsort::Json rec = wfsort::Json::parse(line, &lerr);
-    if (!lerr.empty()) continue;  // validated above; be tolerant here
-    const std::string record = rec.at("record").as_string();
-    if (record == "header") {
-      ++session;
-      std::printf("session %zu: source=%s build=%s interval=%llums rings=%llu\n",
-                  session, rec.at("source").as_string().c_str(),
-                  rec.at("build_type").as_string().c_str(),
-                  static_cast<unsigned long long>(rec.at("interval_ms").as_u64()),
-                  static_cast<unsigned long long>(
-                      rec.find("rings") != nullptr ? rec.at("rings").as_u64() : 0));
-      std::printf("  config: %s\n", rec.at("config").dump_compact().c_str());
-      continue;
-    }
-    const bool final_sample =
-        rec.find("final") != nullptr && rec.at("final").as_bool();
-    std::printf("  t=%-6llums events=%-8llu dropped=%-6llu workers=%llu%s\n",
-                static_cast<unsigned long long>(rec.at("t_ms").as_u64()),
-                static_cast<unsigned long long>(rec.at("events").as_u64()),
-                static_cast<unsigned long long>(rec.at("dropped").as_u64()),
-                static_cast<unsigned long long>(rec.at("workers_active").as_u64()),
-                final_sample ? "  (final)" : "");
-    if (final_sample) {
-      std::printf("  %-14s %10s %10s %10s %10s %10s\n", "phase", "count",
-                  "p50_us", "p99_us", "p999_us", "max_us");
-      for (const auto& [name, ph] : rec.at("phases").object_items()) {
-        std::printf("  %-14s %10llu %10llu %10llu %10llu %10llu\n", name.c_str(),
-                    static_cast<unsigned long long>(ph.at("count").as_u64()),
-                    static_cast<unsigned long long>(ph.at("p50_us").as_u64()),
-                    static_cast<unsigned long long>(ph.at("p99_us").as_u64()),
-                    static_cast<unsigned long long>(ph.at("p999_us").as_u64()),
-                    static_cast<unsigned long long>(ph.at("max_us").as_u64()));
-      }
-      std::printf("  counters: %s\n", rec.at("counters").dump_compact().c_str());
-      if (rec.find("jobs") != nullptr) {
-        std::printf("  jobs: %s\n", rec.at("jobs").dump_compact().c_str());
-      }
-    }
+  const bool is_object = doc.type() == wfsort::Json::Type::kObject;
+  const wfsort::Json* format = is_object ? doc.find("format") : nullptr;
+  if (format == nullptr || format->type() != wfsort::Json::Type::kString ||
+      format->as_string() != "wfsort-repro-v1") {
+    const wfsort::Json* schema = is_object ? doc.find("schema") : nullptr;
+    std::fprintf(stderr, "%s: not a replay artifact (schema %s)\n", path.c_str(),
+                 schema != nullptr && schema->type() == wfsort::Json::Type::kString
+                     ? schema->as_string().c_str()
+                     : "?");
+    return 1;
   }
+  if (const wfsort::Json* failure = doc.find("failure"); failure != nullptr) {
+    const wfsort::Json* kind = failure->find("kind");
+    const wfsort::Json* detail = failure->find("detail");
+    std::printf("failure: %s — %s\n", kind != nullptr ? kind->as_string().c_str() : "?",
+                detail != nullptr ? detail->as_string().c_str() : "");
+  }
+  const wfsort::Json* rings = doc.find("rings");
+  if (rings == nullptr && doc.find("observed") != nullptr) {
+    rings = doc.at("observed").find("rings");
+  }
+  if (rings == nullptr || rings->items().empty()) {
+    std::printf("no post-mortem rings recorded (script kills nobody, or "
+                "the artifact predates the flight recorder)\n");
+    return 0;
+  }
+  print_rings(*rings, 16);
   return 0;
 }
 
@@ -815,12 +593,8 @@ int main(int argc, char** argv) {
   flags.add_string("telemetry", "off", "native recording level: off|phases|full");
   flags.add_string("stats-json", "", "write the run's stats document to this path");
   flags.add_string("trace-out", "", "write a Perfetto-loadable trace to this path");
-  flags.add_string("monitor-out", "",
-                   "append live \"wfsort-monitor-v1\" JSONL samples to this "
-                   "path while the run is in flight (sort/sim)");
-  flags.add_u64("monitor-interval-ms", 25, "live-monitor sampling period");
   flags.add_u64("ring-capacity", 256,
-                "flight-recorder events retained per worker ring");
+                "sort: flight-recorder events retained per worker ring");
 
   if (!flags.parse(argc, argv)) {
     std::fprintf(stderr, "%s\n", flags.error().c_str());
