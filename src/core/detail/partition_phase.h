@@ -27,19 +27,41 @@
 //              Concurrent duplicates write identical values to identical
 //              slots.
 //   buckets    jobs = buckets.  The worker copies one bucket's scattered
-//              elements into PRIVATE scratch, sorts them with leaf_sort
-//              unless they already arrive in order, and writes consecutive
-//              rank slots of the run's output from the bucket's base: the
-//              key of each rank on a copy-back run, its input index on a
-//              sort_permutation run.  (The copy is load-bearing: two workers
-//              may sort the same bucket concurrently, and an in-place sort
-//              of shared memory would interleave swaps — each sorts its own
-//              copy; output stores are idempotent.)  A copy-back run whose
-//              equivalent keys are bit-identical (kBareKeyOrder) copies and
-//              sorts bare keys: the ranks' keys are then fixed by the key
-//              order alone, so the index tie-break cannot change an output
-//              byte and is never scattered.  Every other run copies and
-//              sorts (key, index) pairs.
+//              elements into PRIVATE scratch, sorts them with leaf_sort,
+//              and writes consecutive rank slots of the run's output from
+//              the bucket's base: the key of each rank on a copy-back run,
+//              its input index on a sort_permutation run.  (The copy is
+//              load-bearing: two workers may sort the same bucket
+//              concurrently, and an in-place sort of shared memory would
+//              interleave swaps — each sorts its own copy; output stores
+//              are idempotent.)  A copy-back run whose equivalent keys are
+//              bit-identical (kBareKeyOrder) copies and sorts bare keys: the
+//              ranks' keys are then fixed by the key order alone, so the
+//              index tie-break cannot change an output byte and is never
+//              scattered.  Every other run copies and sorts (key, index)
+//              pairs.
+//
+// Presorted input carries its order into both ends, and two paths use it
+// instead of rediscovering it:
+//
+//   monotone classify   A chunk whose items ascend in (key, index) order
+//              (keys non-decreasing) or strictly descend (keys strictly
+//              decreasing: equal keys ascend by index) has monotone bucket
+//              ids.  Its first element descends the tree; every later one
+//              walks the in-order splitters from its predecessor's bucket,
+//              so the chunk costs about one compare per element.  Each walk
+//              step is a comparison the descent would make, so every
+//              bucket_id store and the hist row carry the descent's values
+//              — a duplicated job still writes identical values, polls once
+//              per element, and stores its row only on completion.
+//   run-merged bucket   A gathered bucket that is one ascending or strictly
+//              descending run followed by at most one more (sorted and
+//              reversed input give one run, organ-pipe input two) skips
+//              leaf_sort: a two-way merge of the runs, a descending one
+//              walked from its end, emits the ranks straight from the
+//              private copy.  It reads only that copy and writes the
+//              sorted order's idempotent rank stores, as leaf_sort's path
+//              does.
 //
 // Sweep ordering without barriers: a worker starts sweep k+1 only after ITS
 // sweep-k Wat loop returned kAllJobsDone, which acquire-read the done flags
@@ -203,6 +225,7 @@ struct PartitionLocal {
   // copies of the largest.  At most 1024 items (16 KiB for 8-byte keys).
   std::vector<LeafItem<Key>> tree;
   int levels = 0;                          // ceil(log2(buckets))
+  std::vector<LeafItem<Key>> splitters;    // the same buckets-1, in order
   std::vector<std::uint32_t> counts;       // classify scratch (buckets)
   std::vector<std::uint32_t> offsets;      // chunks x buckets absolute start slots
   std::vector<std::int64_t> base;          // buckets+1 bucket base slots
@@ -240,6 +263,7 @@ bool partition_prepare(const Compare& cmp, const PartitionShared<Key>& ps,
   local.counts.assign(static_cast<std::size_t>(ps.buckets), 0);
   local.cursor.assign(static_cast<std::size_t>(ps.buckets), 0);
   local.tree.clear();
+  local.splitters.clear();
   local.levels = 0;
   if (ps.buckets <= 1) return true;
   local.items.resize(static_cast<std::size_t>(ps.sample_size));
@@ -253,25 +277,46 @@ bool partition_prepare(const Compare& cmp, const PartitionShared<Key>& ps,
   }
   leaf_sort(sample, sample + ps.sample_size, LeafItemLess<Key, Compare>{cmp},
             &local.tally);
+  // Splitter b is the item ending the b-th sample stripe, clamped for the
+  // capped-sample case (sample_size < kOversample * buckets).
+  for (std::int64_t b = 1; b < ps.buckets; ++b) {
+    const std::int64_t r =
+        std::min((b * ps.sample_size) / ps.buckets, ps.sample_size - 1);
+    local.splitters.push_back(sample[r]);
+  }
   // Node j at depth d sits at in-order position (j - 2^d) * 2^(h+1) + 2^h - 1,
   // h = levels - 1 - d its height.  Position p holds splitter p+1, clamped to
-  // the last one, buckets-1.  Splitter b is the item ending the b-th sample
-  // stripe, clamped for the capped-sample case (sample_size < kOversample *
-  // buckets).
+  // the last one, buckets-1.
   const int levels = static_cast<int>(log2_ceil(static_cast<std::uint64_t>(ps.buckets)));
   const std::size_t nodes = std::size_t{1} << levels;
   local.levels = levels;
   local.tree.resize(nodes);
   for (std::size_t j = 1; j < nodes; ++j) {
     const int h = levels - static_cast<int>(std::bit_width(j));
-    const std::int64_t p = static_cast<std::int64_t>(
-        ((j - std::bit_floor(j)) << (h + 1)) + (std::size_t{1} << h) - 1);
-    const std::int64_t b = std::min(p + 1, ps.buckets - 1);
-    const std::int64_t r =
-        std::min((b * ps.sample_size) / ps.buckets, ps.sample_size - 1);
-    local.tree[j] = sample[r];
+    const std::size_t p =
+        ((j - std::bit_floor(j)) << (h + 1)) + (std::size_t{1} << h) - 1;
+    local.tree[j] = local.splitters[std::min(p, local.splitters.size() - 1)];
   }
   return true;
+}
+
+// Whether len keys, taken as items in the run's (key, index) order, ascend
+// (+1: keys non-decreasing), strictly descend (-1: keys strictly
+// decreasing, since equal keys ascend by index), or neither (0).  Stops at
+// the first pair that rules both out, after about two compares on random
+// keys.
+template <typename Key, typename Compare>
+int monotone_direction(const Compare& cmp, const Key* k, std::int64_t len) {
+  if (len < 2 || !cmp(k[1], k[0])) {
+    for (std::int64_t i = 2; i < len; ++i) {
+      if (cmp(k[i], k[i - 1])) return 0;
+    }
+    return 1;
+  }
+  for (std::int64_t i = 2; i < len; ++i) {
+    if (!cmp(k[i], k[i - 1])) return 0;
+  }
+  return -1;
 }
 
 // Classify sweep, one chunk: histogram the chunk against the splitters and
@@ -281,8 +326,19 @@ bool partition_prepare(const Compare& cmp, const PartitionShared<Key>& ps,
 // `levels` steps; the leaf index j - 2^levels counts the padded splitters
 // below the item, and clamping it to buckets-1 discounts the padding.
 // kGroup elements descend in lockstep so their independent tree loads
-// overlap; the chunk's tail goes one element at a time.  keep_going is
-// polled once per element — a group's polls all come before its descent.
+// overlap; the chunk's tail goes one element at a time.
+//
+// A monotone chunk (monotone_direction) has monotone bucket ids instead: its
+// first element descends, and every later one walks the in-order splitters
+// from its predecessor's bucket — up past the splitters below it on an
+// ascending chunk, down past those not below it on a descending one.  Each
+// walk step is the comparison the descent makes, so the ids and counts are
+// the descent's; the chunk costs one compare per element plus at most
+// buckets-1 steps.
+//
+// Either way keep_going is polled once per element before its id is stored
+// (a group's polls all come before its descent), and the hist row is stored
+// only by a job that completes.
 template <typename Key, typename Compare, typename Check>
 bool partition_classify(const Compare& cmp, PartitionShared<Key>& ps,
                         PartitionLocal<Key>& local, std::int64_t chunk,
@@ -296,33 +352,54 @@ bool partition_classify(const Compare& cmp, PartitionShared<Key>& ps,
   const int levels = local.levels;
   const std::size_t leaves = std::size_t{1} << levels;
   const std::size_t last = static_cast<std::size_t>(ps.buckets - 1);
-  const auto record = [&](std::int64_t i, std::size_t j) {
-    const std::size_t b = std::min(j - leaves, last);
+  const auto record = [&](std::int64_t i, std::size_t b) {
     ++counts[b];
     store_relaxed(ps.bucket_id[static_cast<std::size_t>(i)],
                   static_cast<std::uint16_t>(b));
   };
-  std::int64_t i = lo;
-  for (; i + kGroup <= hi; i += kGroup) {
-    for (std::int64_t u = 0; u < kGroup; ++u) {
-      if (!keep_going()) return false;
-    }
-    std::size_t j[kGroup];
-    for (std::size_t& x : j) x = 1;
-    for (int l = 0; l < levels; ++l) {
-      for (std::int64_t u = 0; u < kGroup; ++u) {
-        j[u] = 2 * j[u] + splitter_below(cmp, tree[j[u]], ps.key(i + u), i + u);
-      }
-    }
-    for (std::int64_t u = 0; u < kGroup; ++u) record(i + u, j[u]);
-  }
-  for (; i < hi; ++i) {
-    if (!keep_going()) return false;
+  const auto descend = [&](std::int64_t i) {
     std::size_t j = 1;
     for (int l = 0; l < levels; ++l) {
       j = 2 * j + splitter_below(cmp, tree[j], ps.key(i), i);
     }
-    record(i, j);
+    return std::min(j - leaves, last);
+  };
+  const int direction = monotone_direction(cmp, ps.keys + lo, hi - lo);
+  if (direction != 0) {
+    const LeafItem<Key>* sp = local.splitters.data();
+    std::size_t b = 0;
+    for (std::int64_t i = lo; i < hi; ++i) {
+      if (!keep_going()) return false;
+      if (i == lo) {
+        b = descend(i);
+      } else if (direction > 0) {
+        while (b < last && splitter_below(cmp, sp[b], ps.key(i), i)) ++b;
+      } else {
+        while (b > 0 && !splitter_below(cmp, sp[b - 1], ps.key(i), i)) --b;
+      }
+      record(i, b);
+    }
+  } else {
+    std::int64_t i = lo;
+    for (; i + kGroup <= hi; i += kGroup) {
+      for (std::int64_t u = 0; u < kGroup; ++u) {
+        if (!keep_going()) return false;
+      }
+      std::size_t j[kGroup];
+      for (std::size_t& x : j) x = 1;
+      for (int l = 0; l < levels; ++l) {
+        for (std::int64_t u = 0; u < kGroup; ++u) {
+          j[u] = 2 * j[u] + splitter_below(cmp, tree[j[u]], ps.key(i + u), i + u);
+        }
+      }
+      for (std::int64_t u = 0; u < kGroup; ++u) {
+        record(i + u, std::min(j[u] - leaves, last));
+      }
+    }
+    for (; i < hi; ++i) {
+      if (!keep_going()) return false;
+      record(i, descend(i));
+    }
   }
   std::uint32_t* row = ps.hist + static_cast<std::size_t>(chunk * ps.buckets);
   for (std::int64_t b = 0; b < ps.buckets; ++b) store_relaxed(row[b], counts[b]);
@@ -399,9 +476,24 @@ bool partition_scatter(PartitionShared<Key>& ps, PartitionLocal<Key>& local,
   return ps.sidx != nullptr ? sweep(std::true_type{}) : sweep(std::false_type{});
 }
 
-// Gather slots [lo, hi) into private `scratch` with `load`, sort them under
-// `less` unless they are already in order, and hand each to `emit` with its
-// rank.  A presorted bucket still counts as one leaf block.
+// The end of the run that opens at items[from]: ascending (no item below
+// its predecessor), or strictly descending when its first pair descends.
+// `descending` reports which; a run of one or no item ascends.
+template <typename T, typename Less>
+std::size_t run_end(const T* items, std::size_t from, std::size_t size, Less less,
+                    bool& descending) {
+  descending = from + 1 < size && less(items[from + 1], items[from]);
+  std::size_t i = from + 1;
+  while (i < size && less(items[i], items[i - 1]) == descending) ++i;
+  return std::min(i, size);
+}
+
+// Gather slots [lo, hi) into private `scratch` with `load`, and hand each
+// item to `emit` with its rank.  A bucket that is one ascending or strictly
+// descending run followed by at most one more is emitted by a two-way merge
+// of the two runs, each walked in ascending order (a descending run from its
+// end); any other bucket is sorted under `less` first.  The ranks either way
+// are the sorted order's, and a merged bucket counts as one leaf block.
 template <typename T, typename Less, typename Load, typename Emit, typename Check>
 bool sort_bucket(std::vector<T>& scratch, std::int64_t lo, std::int64_t hi, Less less,
                  LeafSortTally& tally, Load&& load, Emit&& emit, Check&& keep_going) {
@@ -419,12 +511,36 @@ bool sort_bucket(std::vector<T>& scratch, std::int64_t lo, std::int64_t hi, Less
     if (!keep_going()) return false;
     items[s - lo] = load(static_cast<std::size_t>(s));
   }
-  if (std::is_sorted(items, items + (hi - lo), less)) {
-    ++tally.blocks;
-  } else {
-    leaf_sort(items, items + (hi - lo), less, &tally);
-  }
   std::size_t rank = static_cast<std::size_t>(lo);
+  bool a_desc = false;
+  bool b_desc = false;
+  const std::size_t seam = run_end(items, 0, size, less, a_desc);
+  if (run_end(items, seam, size, less, b_desc) == size) {
+    ++tally.blocks;
+    // Cursors at each run's least item, stepping towards its greatest; a
+    // run is spent when its cursor reaches `stop`.
+    std::ptrdiff_t a = a_desc ? static_cast<std::ptrdiff_t>(seam) - 1 : 0;
+    std::ptrdiff_t b = b_desc ? static_cast<std::ptrdiff_t>(size) - 1
+                              : static_cast<std::ptrdiff_t>(seam);
+    const std::ptrdiff_t a_step = a_desc ? -1 : 1;
+    const std::ptrdiff_t b_step = b_desc ? -1 : 1;
+    const std::ptrdiff_t a_stop = a_desc ? -1 : static_cast<std::ptrdiff_t>(seam);
+    const std::ptrdiff_t b_stop = b_desc ? static_cast<std::ptrdiff_t>(seam) - 1
+                                         : static_cast<std::ptrdiff_t>(size);
+    for (std::size_t k = 0; k < size; ++k) {
+      if (!keep_going()) return false;
+      // Only bare keys tie, and equal bare keys are bit-identical.
+      if (b == b_stop || (a != a_stop && !less(items[b], items[a]))) {
+        emit(rank++, items[a]);
+        a += a_step;
+      } else {
+        emit(rank++, items[b]);
+        b += b_step;
+      }
+    }
+    return true;
+  }
+  leaf_sort(items, items + size, less, &tally);
   for (const T& it : scratch) {
     if (!keep_going()) return false;
     emit(rank++, it);

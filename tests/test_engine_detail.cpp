@@ -11,6 +11,8 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/arena.h"
@@ -863,6 +865,47 @@ std::vector<wfsort::detail::LeafItem<std::uint64_t>> reference_splitters(
   return splitters;
 }
 
+// Classify every chunk of `keys` and check each bucket id and hist row
+// against a per-element binary search of the in-order reference splitters.
+// A non-null `directions` receives monotone_direction of every chunk.
+void expect_classify_matches_reference(const std::vector<std::uint64_t>& keys,
+                                       const std::string& what,
+                                       std::vector<int>* directions = nullptr) {
+  wfsort::RunArena arena;
+  Partition ps(std::span<const std::uint64_t>(keys), /*keys_out=*/true,
+               /*bare_keys=*/false, arena);
+  PartitionLocal local;
+  ASSERT_TRUE(wfsort::detail::partition_prepare(kLess, ps, local, kKeepGoing));
+  const auto splitters = reference_splitters(ps);
+  ASSERT_EQ(static_cast<std::int64_t>(splitters.size()), ps.buckets - 1);
+  for (std::int64_t c = 0; c < ps.chunks; ++c) {
+    ASSERT_TRUE(wfsort::detail::partition_classify(kLess, ps, local, c, kKeepGoing));
+    const std::int64_t lo = c * Partition::kChunk;
+    const std::int64_t hi = std::min(ps.n, lo + Partition::kChunk);
+    if (directions != nullptr) {
+      directions->push_back(
+          wfsort::detail::monotone_direction(kLess, ps.keys + lo, hi - lo));
+    }
+    std::vector<std::uint32_t> expected_row(static_cast<std::size_t>(ps.buckets), 0);
+    for (std::int64_t i = lo; i < hi; ++i) {
+      const wfsort::detail::LeafItem<std::uint64_t> item{ps.key(i), i};
+      const auto below = std::partition_point(
+          splitters.begin(), splitters.end(),
+          [&](const auto& s) { return kItemLess(s, item); });
+      const auto bucket = below - splitters.begin();
+      ASSERT_EQ(ps.bucket_id[i], bucket) << what << " i=" << i;
+      ++expected_row[static_cast<std::size_t>(bucket)];
+    }
+    const std::uint32_t* row = ps.hist + c * ps.buckets;
+    std::uint64_t total = 0;
+    for (std::int64_t b = 0; b < ps.buckets; ++b) {
+      EXPECT_EQ(row[b], expected_row[static_cast<std::size_t>(b)]) << what << " c=" << c;
+      total += row[b];
+    }
+    EXPECT_EQ(total, static_cast<std::uint64_t>(hi - lo)) << what << " c=" << c;
+  }
+}
+
 TEST(PartitionPhase, ClassifyCountsSplittersStrictlyBelow) {
   // Power-of-two and padded trees (2, 3, 5, 6, 7, 11 and 32 buckets), with
   // and without a chunk tail shorter than one descent group.  At 6 and 11
@@ -871,83 +914,227 @@ TEST(PartitionPhase, ClassifyCountsSplittersStrictlyBelow) {
   for (const std::size_t n : {2u * 2048u, 3u * 2048u + 1u, 5u * 2048u + 7u, 6u * 2048u + 5u,
                               7u * 2048u, 11u * 2048u, 65536u}) {
     for (const char* pattern : {"random", "presorted", "reverse", "all-equal", "dup-heavy"}) {
-      auto keys = pattern_input(pattern, n);
-      wfsort::RunArena arena;
-      Partition ps(std::span<const std::uint64_t>(keys), /*keys_out=*/true,
-                   /*bare_keys=*/false, arena);
-      PartitionLocal local;
-      ASSERT_TRUE(wfsort::detail::partition_prepare(kLess, ps, local, kKeepGoing));
-      const auto splitters = reference_splitters(ps);
-      ASSERT_EQ(static_cast<std::int64_t>(splitters.size()), ps.buckets - 1);
-      for (std::int64_t c = 0; c < ps.chunks; ++c) {
-        ASSERT_TRUE(wfsort::detail::partition_classify(kLess, ps, local, c, kKeepGoing));
-        const std::int64_t lo = c * Partition::kChunk;
-        const std::int64_t hi = std::min(ps.n, lo + Partition::kChunk);
-        std::vector<std::uint32_t> expected_row(static_cast<std::size_t>(ps.buckets), 0);
-        for (std::int64_t i = lo; i < hi; ++i) {
-          const wfsort::detail::LeafItem<std::uint64_t> item{ps.key(i), i};
-          const auto below = std::partition_point(
-              splitters.begin(), splitters.end(),
-              [&](const auto& s) { return kItemLess(s, item); });
-          const auto bucket = below - splitters.begin();
-          ASSERT_EQ(ps.bucket_id[i], bucket) << pattern << " n=" << n << " i=" << i;
-          ++expected_row[static_cast<std::size_t>(bucket)];
+      expect_classify_matches_reference(pattern_input(pattern, n),
+                                        std::string(pattern) + " n=" + std::to_string(n));
+    }
+  }
+}
+
+TEST(PartitionPhase, MonotoneChunksClassifyAsTheDescentDoes) {
+  // Every chunk holds its own random keys in one order, so a monotone
+  // chunk's walk crosses most of the buckets.  Ascending chunks (with ties)
+  // and strictly descending ones take the monotone path; non-increasing
+  // chunks with ties are not strictly descending and take the general one.
+  // In "long-ties" every key repeats 600 times, so splitters fall inside
+  // runs of equal keys, where the (key, index) order ascends.  The tails
+  // are 1, 2 and kChunk - 1 elements long.
+  const std::int64_t chunk = Partition::kChunk;
+  for (const std::int64_t n : {5 * chunk + 1, 5 * chunk + 2, 5 * chunk - 1, 16 * chunk}) {
+    wfsort::Rng rng(0x5eed + static_cast<std::uint64_t>(n));
+    const struct {
+      const char* name;
+      int direction;  // of every full chunk
+    } orders[] = {{"ascending", 1}, {"descending", -1}, {"ties-non-increasing", 0},
+                  {"long-ties", 0}, {"all-equal", 1}};
+    const auto un = static_cast<std::uint64_t>(n);
+    for (const auto& order : orders) {
+      const std::string name = order.name;
+      std::vector<std::uint64_t> keys(static_cast<std::size_t>(n));
+      for (std::uint64_t i = 0; i < un; ++i) {
+        keys[i] = name == "ascending"              ? rng.below(un)
+                  : name == "ties-non-increasing" ? rng.below(un / 8)
+                  : name == "long-ties"           ? (un - i) / 600
+                  : name == "all-equal"           ? 42
+                                                  : rng.next();
+      }
+      for (std::int64_t lo = 0; lo < n; lo += chunk) {
+        const auto first = keys.begin() + lo;
+        const auto last = keys.begin() + std::min(n, lo + chunk);
+        if (name == "ascending") {
+          std::sort(first, last);
+        } else {
+          std::sort(first, last, std::greater<>{});
         }
-        const std::uint32_t* row = ps.hist + c * ps.buckets;
-        std::uint64_t total = 0;
-        for (std::int64_t b = 0; b < ps.buckets; ++b) {
-          EXPECT_EQ(row[b], expected_row[static_cast<std::size_t>(b)]) << pattern << " n=" << n;
-          total += row[b];
+      }
+      const std::string what = name + " n=" + std::to_string(n);
+      std::vector<int> directions;
+      expect_classify_matches_reference(keys, what, &directions);
+      const int tail = static_cast<int>(n % chunk);
+      for (std::size_t c = 0; c < directions.size(); ++c) {
+        const bool full = c + 1 < directions.size() || tail == 0;
+        if (full || order.direction != 0) {
+          EXPECT_EQ(directions[c], tail == 1 && !full ? 1 : order.direction)
+              << what << " c=" << c;
         }
-        EXPECT_EQ(total, static_cast<std::uint64_t>(hi - lo)) << pattern << " n=" << n;
       }
     }
   }
 }
 
 TEST(PartitionPhase, AbortedSweepsReturnFalse) {
-  // 4 full chunks and a last one of 1813 = 8*226 + 5 elements: a group tail.
-  auto keys = pattern_input("random", 10005);
-  wfsort::RunArena arena;
-  Partition ps(std::span<const std::uint64_t>(keys), /*keys_out=*/true,
-               /*bare_keys=*/false, arena);
-  PartitionLocal local;
-  int budget = 5;
-  auto limited = [&budget] { return budget-- > 0; };
-  EXPECT_FALSE(wfsort::detail::partition_prepare(kLess, ps, local, limited));
-  ASSERT_TRUE(wfsort::detail::partition_prepare(kLess, ps, local, kKeepGoing));
+  // 4 full chunks and a last one of 1813 = 8*226 + 5 elements: a group
+  // tail.  Random chunks take the grouped descent, sorted and strictly
+  // descending ones the monotone walk.
+  for (const auto& [pattern, direction] :
+       {std::pair{"random", 0}, std::pair{"presorted", 1}, std::pair{"reverse", -1}}) {
+    auto keys = pattern_input(pattern, 10005);
+    wfsort::RunArena arena;
+    Partition ps(std::span<const std::uint64_t>(keys), /*keys_out=*/true,
+                 /*bare_keys=*/false, arena);
+    PartitionLocal local;
+    int budget = 5;
+    auto limited = [&budget] { return budget-- > 0; };
+    EXPECT_FALSE(wfsort::detail::partition_prepare(kLess, ps, local, limited));
+    ASSERT_TRUE(wfsort::detail::partition_prepare(kLess, ps, local, kKeepGoing));
 
-  const std::size_t nb = static_cast<std::size_t>(ps.buckets);
-  for (const std::int64_t chunk : {std::int64_t{0}, ps.chunks - 1}) {
-    const std::int64_t lo = chunk * Partition::kChunk;
-    const std::int64_t hi = std::min(ps.n, lo + Partition::kChunk);
-    std::uint32_t* row = ps.hist + chunk * ps.buckets;
-    // An uninterrupted run polls once per element.
-    std::int64_t polls = 0;
-    auto counting = [&polls] { ++polls; return true; };
-    ASSERT_TRUE(wfsort::detail::partition_classify(kLess, ps, local, chunk, counting));
-    EXPECT_EQ(polls, hi - lo);
-    const std::vector<std::uint16_t> ids(ps.bucket_id + lo, ps.bucket_id + hi);
-    const std::vector<std::uint32_t> counts(row, row + nb);
+    const std::size_t nb = static_cast<std::size_t>(ps.buckets);
+    for (const std::int64_t chunk : {std::int64_t{0}, ps.chunks - 1}) {
+      const std::int64_t lo = chunk * Partition::kChunk;
+      const std::int64_t hi = std::min(ps.n, lo + Partition::kChunk);
+      const std::string where =
+          std::string(pattern) + " chunk=" + std::to_string(chunk) + " budget=";
+      ASSERT_EQ(wfsort::detail::monotone_direction(kLess, ps.keys + lo, hi - lo),
+                direction)
+          << where;
+      std::uint32_t* row = ps.hist + chunk * ps.buckets;
+      // An uninterrupted run polls once per element.
+      std::int64_t polls = 0;
+      auto counting = [&polls] { ++polls; return true; };
+      ASSERT_TRUE(wfsort::detail::partition_classify(kLess, ps, local, chunk, counting));
+      EXPECT_EQ(polls, hi - lo) << where;
+      const std::vector<std::uint16_t> ids(ps.bucket_id + lo, ps.bucket_id + hi);
+      const std::vector<std::uint32_t> counts(row, row + nb);
 
-    // Aborts inside and between descent groups, and inside the tail.
-    std::vector<int> budgets;
-    for (int k = 1; k <= 17; ++k) budgets.push_back(k);
-    for (int k = 1; k <= 3; ++k) budgets.push_back(static_cast<int>(hi - lo) - k);
-    for (const int k : budgets) {
-      std::fill(ps.bucket_id + lo, ps.bucket_id + hi, std::uint16_t{0xffff});
-      std::fill(row, row + nb, 0xffffffffu);
-      budget = k;
-      EXPECT_FALSE(wfsort::detail::partition_classify(kLess, ps, local, chunk, limited))
-          << "chunk=" << chunk << " budget=" << k;
-      // The hist row is stored only by a completed job.
-      EXPECT_EQ(std::count(row, row + nb, 0xffffffffu), static_cast<std::ptrdiff_t>(nb));
-      ASSERT_TRUE(wfsort::detail::partition_classify(kLess, ps, local, chunk, kKeepGoing));
-      EXPECT_EQ(std::vector<std::uint16_t>(ps.bucket_id + lo, ps.bucket_id + hi), ids)
-          << "chunk=" << chunk << " budget=" << k;
-      EXPECT_EQ(std::vector<std::uint32_t>(row, row + nb), counts)
-          << "chunk=" << chunk << " budget=" << k;
+      // Aborts inside and between descent groups, and inside the tail.
+      std::vector<int> budgets;
+      for (int k = 1; k <= 17; ++k) budgets.push_back(k);
+      for (int k = 1; k <= 3; ++k) budgets.push_back(static_cast<int>(hi - lo) - k);
+      for (const int k : budgets) {
+        std::fill(ps.bucket_id + lo, ps.bucket_id + hi, std::uint16_t{0xffff});
+        std::fill(row, row + nb, 0xffffffffu);
+        budget = k;
+        EXPECT_FALSE(wfsort::detail::partition_classify(kLess, ps, local, chunk, limited))
+            << where << k;
+        // The hist row is stored only by a completed job.
+        EXPECT_EQ(std::count(row, row + nb, 0xffffffffu), static_cast<std::ptrdiff_t>(nb))
+            << where << k;
+        ASSERT_TRUE(
+            wfsort::detail::partition_classify(kLess, ps, local, chunk, kKeepGoing));
+        EXPECT_EQ(std::vector<std::uint16_t>(ps.bucket_id + lo, ps.bucket_id + hi), ids)
+            << where << k;
+        EXPECT_EQ(std::vector<std::uint32_t>(row, row + nb), counts) << where << k;
+      }
     }
+  }
+}
+
+// Finish one bucket with sort_bucket at slots [lo, lo + size) and compare
+// its ranks with leaf_sort's order of the same items.  `merged`: the bucket
+// is at most two runs, so it must be emitted by the merge (one leaf block,
+// no leaf sort work); otherwise it must be leaf-sorted.
+template <typename T, typename Less>
+void expect_bucket_matches_leaf_sort(const std::vector<T>& bucket, Less less, bool merged,
+                                     const std::string& what) {
+  constexpr std::int64_t lo = 3;
+  const std::int64_t hi = lo + static_cast<std::int64_t>(bucket.size());
+  std::vector<T> expected = bucket;
+  wfsort::detail::LeafSortTally ref_tally;
+  wfsort::detail::leaf_sort(expected.data(), expected.data() + expected.size(), less,
+                            &ref_tally);
+  std::vector<T> scratch;
+  std::vector<T> out(static_cast<std::size_t>(hi));
+  std::vector<int> stores(static_cast<std::size_t>(hi), 0);
+  wfsort::detail::LeafSortTally tally;
+  ASSERT_TRUE(wfsort::detail::sort_bucket(
+      scratch, lo, hi, less, tally,
+      [&](std::size_t s) { return bucket[s - static_cast<std::size_t>(lo)]; },
+      [&](std::size_t r, const T& it) {
+        out[r] = it;
+        ++stores[r];
+      },
+      kKeepGoing))
+      << what;
+  for (std::int64_t r = 0; r < hi; ++r) {
+    const auto ur = static_cast<std::size_t>(r);
+    ASSERT_EQ(stores[ur], r < lo ? 0 : 1) << what << " r=" << r;
+    if (r < lo) continue;
+    const T& got = out[ur];
+    const T& want = expected[ur - static_cast<std::size_t>(lo)];
+    EXPECT_TRUE(!less(got, want) && !less(want, got)) << what << " r=" << r;
+    if constexpr (!std::is_integral_v<T>) {
+      EXPECT_EQ(got.idx, want.idx) << what << " r=" << r;
+    }
+  }
+  EXPECT_EQ(tally.blocks, 1u) << what;
+  if (merged) {
+    EXPECT_EQ(tally.insertion_sorts + tally.heapsorts + tally.partition_swaps, 0u)
+        << what;
+  } else {
+    EXPECT_EQ(tally.insertion_sorts, ref_tally.insertion_sorts) << what;
+  }
+}
+
+TEST(PartitionPhase, RunMergedBucketsEmitTheLeafSortRanks) {
+  const struct {
+    const char* name;
+    std::vector<std::uint64_t> keys;
+    bool merged;
+  } cases[] = {
+      {"empty", {}, true},
+      {"one", {4}, true},
+      {"two-descending", {4, 2}, true},
+      {"two-ascending", {2, 4}, true},
+      {"three-desc-asc", {3, 1, 2}, true},
+      {"three-asc-desc", {2, 3, 1}, true},
+      {"three-descending", {3, 2, 1}, true},
+      {"ascending", {1, 2, 2, 3, 5, 8, 8, 13}, true},
+      {"descending", {9, 7, 4, 2, 1}, true},
+      {"asc+desc", {1, 4, 6, 9, 8, 5, 3, 2}, true},
+      {"desc+asc", {9, 6, 3, 1, 4, 7, 8}, true},
+      {"asc+asc", {2, 5, 8, 1, 3, 9}, true},
+      {"asc+desc equal at seam", {1, 3, 5, 5, 5, 4, 3, 1}, true},
+      {"desc+asc equal at seam", {5, 3, 1, 1, 3, 5}, true},
+      {"three runs", {1, 5, 9, 2, 6, 3, 7}, false},
+      {"desc+desc", {9, 5, 1, 8, 4, 2}, true},
+      {"desc+desc+asc", {9, 5, 8, 4, 2, 3}, false},
+  };
+  using Item = wfsort::detail::LeafItem<std::uint64_t>;
+  for (const auto& c : cases) {
+    expect_bucket_matches_leaf_sort(c.keys, kLess, c.merged,
+                                    std::string("bare ") + c.name);
+    // The (key, index) pairs a bucket holds after the scatter: indices in
+    // slot order, so equal keys ascend and end a descending run.
+    std::vector<Item> items;
+    for (std::size_t s = 0; s < c.keys.size(); ++s) {
+      items.push_back({c.keys[s], static_cast<std::int64_t>(100 + s)});
+    }
+    expect_bucket_matches_leaf_sort(items, kItemLess, c.merged,
+                                    std::string("pairs ") + c.name);
+  }
+}
+
+TEST(PartitionPhase, AbortedMergeReturnsFalse) {
+  // An organ-pipe bucket: an ascending run, then a descending one.
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t k = 0; k < 40; ++k) keys.push_back(2 * k);
+  for (std::uint64_t k = 40; k-- > 0;) keys.push_back(2 * k + 1);
+  const std::int64_t size = static_cast<std::int64_t>(keys.size());
+  std::vector<std::uint64_t> scratch;
+  for (const std::int64_t emitted :
+       {std::int64_t{0}, std::int64_t{1}, size / 2, size - 1}) {
+    std::int64_t budget = size + emitted;  // the gather, then `emitted` ranks
+    std::int64_t stores = 0;
+    wfsort::detail::LeafSortTally tally;
+    EXPECT_FALSE(wfsort::detail::sort_bucket(
+        scratch, 0, size, kLess, tally, [&](std::size_t s) { return keys[s]; },
+        [&](std::size_t r, std::uint64_t k) {
+          EXPECT_EQ(k, static_cast<std::uint64_t>(r));
+          ++stores;
+        },
+        [&budget] { return budget-- > 0; }))
+        << emitted;
+    EXPECT_EQ(stores, emitted);
+    EXPECT_EQ(tally.insertion_sorts, 0u);
   }
 }
 

@@ -415,8 +415,8 @@ std::vector<KnobParam> make_knob_sweep() {
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, KnobSweep, testing::ValuesIn(make_knob_sweep()),
-                         [](const testing::TestParamInfo<KnobParam>& info) {
-                           return knob_label(info.param);
+                         [](const testing::TestParamInfo<KnobParam>& param_info) {
+                           return knob_label(param_info.param);
                          });
 
 // The blocked-partition phase 1 must be observationally identical to the
@@ -439,6 +439,70 @@ TEST(SortNative, PartitionPhasePermutationMatchesTreeBitExactly) {
           std::span<const std::uint64_t>(v),
           Options{.threads = 4, .phase1 = Phase1::kPartition});
       EXPECT_EQ(tree_perm, part_perm) << workload_name(w) << " n=" << n;
+    }
+  }
+}
+
+// Presorted and run-structured inputs take the partition phase's monotone
+// classify and its run-merged bucket finish; the output must still be the
+// sort and the stable argsort, caller-alone and at full width.  The sizes
+// are 2^16 and a 2048-element chunk count +-1.
+TEST(SortNative, PartitionPhaseSortsPresortedInputs) {
+  const std::pair<const char*, std::vector<std::uint64_t> (*)(std::size_t)> inputs[] = {
+      {"sorted", [](std::size_t n) { return make_workload(Workload::kSorted, n, 1); }},
+      {"reversed",
+       [](std::size_t n) { return make_workload(Workload::kReversed, n, 1); }},
+      {"organ-pipe",
+       [](std::size_t n) { return make_workload(Workload::kOrganPipe, n, 1); }},
+      {"few-distinct",
+       [](std::size_t n) { return make_workload(Workload::kFewDistinct, n, 5); }},
+      {"reversed-dups",
+       [](std::size_t n) {
+         std::vector<std::uint64_t> v(n);
+         for (std::size_t i = 0; i < n; ++i) v[i] = (n - i) / 3;
+         return v;
+       }},
+      {"sawtooth",
+       [](std::size_t n) {
+         std::vector<std::uint64_t> v(n);
+         for (std::size_t i = 0; i < n; ++i) v[i] = i % (2048 / 3);
+         return v;
+       }},
+      {"sorted-one-swap",
+       [](std::size_t n) {
+         auto v = make_workload(Workload::kSorted, n, 1);
+         std::swap(v[n / 3], v[2 * n / 3]);
+         return v;
+       }},
+  };
+  for (const std::uint32_t threads : {1u, 4u}) {
+    const Options opts{.threads = threads, .phase1 = Phase1::kPartition};
+    wfsort::SortPool pool(threads);
+    for (const std::size_t n :
+         {std::size_t{1} << 16, std::size_t{5 * 2048 - 1}, std::size_t{5 * 2048 + 1}}) {
+      for (const auto& [name, make] : inputs) {
+        const std::string where = std::string(name) + " n=" + std::to_string(n) +
+                                  " t=" + std::to_string(threads);
+        const std::vector<std::uint64_t> input = make(n);
+        std::vector<std::uint64_t> sorted = input;
+        std::sort(sorted.begin(), sorted.end());
+        std::vector<std::uint32_t> argsort(n);
+        for (std::uint32_t i = 0; i < n; ++i) argsort[i] = i;
+        std::stable_sort(argsort.begin(), argsort.end(),
+                         [&input](std::uint32_t x, std::uint32_t y) {
+                           return input[x] < input[y];
+                         });
+
+        std::vector<std::uint64_t> v = input;
+        wfsort::sort(std::span<std::uint64_t>(v), opts);
+        EXPECT_EQ(v, sorted) << "sort " << where;
+        EXPECT_EQ(wfsort::sort_permutation(std::span<const std::uint64_t>(input), opts),
+                  argsort)
+            << "sort_permutation " << where;
+        v = input;
+        pool.sort(std::span<std::uint64_t>(v), opts);
+        EXPECT_EQ(v, sorted) << "SortPool::sort " << where;
+      }
     }
   }
 }
@@ -880,22 +944,28 @@ TEST(SortFaults, PartitionPathStaggeredCrashes) {
   // Large enough that the partition path has many chunks (n / 2048) and
   // several buckets, so the staggered kills land inside all three sweeps;
   // the lone survivor must drain every WAT and finish the sort alone.
-  auto v = make_workload(Workload::kFewDistinct, 50000, 13);
-  auto orig = v;
-  constexpr std::uint32_t kThreads = 6;
-  wfsort::runtime::FaultPlan plan(kThreads);
-  plan.crash_at(1, 3);
-  plan.crash_at(2, 50);
-  plan.crash_at(3, 500);
-  plan.crash_at(4, 5000);
-  plan.crash_at(5, 20000);
-  SortStats stats;
-  const bool ok = wfsort::sort_with_faults(
-      std::span<std::uint64_t>(v),
-      Options{.threads = kThreads, .phase1 = Phase1::kPartition}, plan, &stats);
-  ASSERT_TRUE(ok);
-  expect_sorted_permutation(orig, v, "partition-staggered");
-  EXPECT_GE(stats.completed_workers, 1u);
+  // Sorted and reversed input run the monotone classify and the run-merged
+  // bucket finish, so duplicated jobs race on those paths too.
+  for (const Workload w :
+       {Workload::kFewDistinct, Workload::kSorted, Workload::kReversed}) {
+    auto v = make_workload(w, 50000, 13);
+    auto orig = v;
+    constexpr std::uint32_t kThreads = 6;
+    wfsort::runtime::FaultPlan plan(kThreads);
+    plan.crash_at(1, 3);
+    plan.crash_at(2, 50);
+    plan.crash_at(3, 500);
+    plan.crash_at(4, 5000);
+    plan.crash_at(5, 20000);
+    SortStats stats;
+    const bool ok = wfsort::sort_with_faults(
+        std::span<std::uint64_t>(v),
+        Options{.threads = kThreads, .phase1 = Phase1::kPartition}, plan, &stats);
+    ASSERT_TRUE(ok) << workload_name(w);
+    expect_sorted_permutation(orig, v,
+                              std::string("partition-staggered ") + workload_name(w));
+    EXPECT_GE(stats.completed_workers, 1u) << workload_name(w);
+  }
 }
 
 TEST(SortFaults, SuspendAndReviveLcAtNonDefaultKnobs) {

@@ -20,8 +20,10 @@
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "exp/workloads.h"
 #include "runtime/adversaries.h"
 #include "runtime/scenario.h"
 #include "runtime/sched_family.h"
@@ -275,22 +277,37 @@ TEST(WaitFreeCert, NativeCheckpointBoundHolds) {
 // fixed-size job pool claimed through the same batched WAT, so per-worker
 // work stays O(N/P + log) per sweep and the 14 * N * ceil(log2 N) budget
 // must hold with the identical margin discipline as the tree path.
+// Sorted, reversed and organ-pipe input at 2^15 run the monotone classify
+// and the run-merged bucket finish under the same bound.
 TEST(WaitFreeCert, NativePartitionCheckpointBoundHolds) {
-  rt::ScenarioSpec spec;
-  spec.substrate = rt::Substrate::kNative;
-  spec.n = 4096;
-  spec.procs = 8;
-  spec.phase1 = rt::Phase1Kind::kPartition;
-  spec.own_step_bound = certified_bound(spec.n);
-  const rt::ScenarioResult faultless = rt::run_scenario(spec);
-  EXPECT_TRUE(faultless.ok())
-      << rt::failure_kind_name(faultless.failure) << ": " << faultless.detail;
+  using wfsort::exp::Dist;
+  const std::pair<Dist, std::uint64_t> cases[] = {{Dist::kShuffled, 4096},
+                                                  {Dist::kSorted, 1u << 15},
+                                                  {Dist::kReversed, 1u << 15},
+                                                  {Dist::kOrganPipe, 1u << 15}};
+  for (const auto& [dist, n] : cases) {
+    const std::string what =
+        std::string(wfsort::exp::dist_name(dist)) + " n=" + std::to_string(n);
+    rt::ScenarioSpec spec;
+    spec.substrate = rt::Substrate::kNative;
+    spec.n = n;
+    spec.dist = dist;
+    spec.procs = 8;
+    spec.phase1 = rt::Phase1Kind::kPartition;
+    spec.own_step_bound = certified_bound(spec.n);
+    const rt::ScenarioResult faultless = rt::run_scenario(spec);
+    EXPECT_TRUE(faultless.ok())
+        << what << " " << rt::failure_kind_name(faultless.failure) << ": "
+        << faultless.detail;
+    EXPECT_LE(faultless.max_finish_steps, spec.own_step_bound) << what;
 
-  spec.script = rt::fail_stop_at_round(32, 4, 7);
-  const rt::ScenarioResult faulty = rt::run_scenario(spec);
-  EXPECT_TRUE(faulty.ok())
-      << rt::failure_kind_name(faulty.failure) << ": " << faulty.detail;
-  EXPECT_GT(faulty.max_finish_steps, 0u);
+    spec.script = rt::fail_stop_at_round(32, 4, 7);
+    const rt::ScenarioResult faulty = rt::run_scenario(spec);
+    EXPECT_TRUE(faulty.ok())
+        << what << " " << rt::failure_kind_name(faulty.failure) << ": " << faulty.detail;
+    EXPECT_GT(faulty.max_finish_steps, 0u) << what;
+    EXPECT_LE(faulty.max_finish_steps, spec.own_step_bound) << what;
+  }
 }
 
 // The LC fast path under the same calibrated bound: probe bursts, line
